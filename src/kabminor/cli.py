@@ -179,7 +179,7 @@ def _load_graph(text: str) -> Graph:
 
 def _run_config(args) -> dict:
     cfg = {"version": __version__, "command": args.command}
-    for key in ("alpha", "budget", "jobs", "format", "a", "b", "n", "seed"):
+    for key in ("alpha", "budget", "jobs", "format", "a", "b", "n"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     return cfg
@@ -235,7 +235,6 @@ def cmd_lambda(args) -> int:
         "alpha": args.alpha,
         "lambda": float(f"{res.lam:.12g}"),
         "residual": res.residual,
-        "method": res.method,
     }
     if args.perron:
         payload["vector"] = list(res.vector)
@@ -301,7 +300,10 @@ def cmd_verify(args) -> int:
     names = args.suites or ["all"]
     if args.b and names == ["lemma-updown"]:
         lo, _, hi = args.b.partition("..")
-        outcomes = [vf.check_lemma_updown(range(int(lo), int(hi or lo) + 1))]
+        bs = range(int(lo), int(hi or lo) + 1)
+        if not bs:
+            raise SpecError(f"empty --b range {args.b!r}")
+        outcomes = [vf.check_lemma_updown(bs)]
     else:
         outcomes = vf.run_suites(names)
     rows = [json.loads(o.to_json()) for o in outcomes]
@@ -319,6 +321,13 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL if any(r["status"] == "fail" for r in rows) else EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kabminor",
                                  description="spectral extremal analysis of "
@@ -330,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table", "csv"), default="table")
         p.add_argument("--alpha", type=float, default=0.0)
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("construct", help="build a named family or grammar expression")
     p.add_argument("spec", help="family spec, or 'extremal' with --a/--b/--n")

@@ -10,7 +10,9 @@ budget exhaustion is a first-class third verdict, never coerced to
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .graphs import Graph, _bits, _popcount, complete_bipartite
@@ -144,6 +146,45 @@ def _minor_search(g: Graph, h: Graph, budget: int):
     return True, out, counter[0]
 
 
+def _star_boundary(g: Graph, b: int, budget: float):
+    """The boundary criterion for K_{1,b}: a star minor with b leaves
+    exists iff some connected set S has at least b neighbours outside S.
+    Returns (S, N(S) minus S, expansions) for the first such S found, or
+    (0, 0, expansions); one expansion per connected set examined, and
+    raises _BudgetExceeded past the budget.  Singletons go first, since a
+    vertex of degree >= b settles it; larger sets need |S| <= n - b."""
+    larger = (s for s in _connected_subsets(g.rows, (1 << g.n) - 1, g.n - b) if s & (s - 1))
+    count = 0
+    for s in itertools.chain((1 << v for v in range(g.n)), larger):
+        count += 1
+        if count > budget:
+            raise _BudgetExceeded
+        nb = 0
+        for v in _bits(s):
+            nb |= g.rows[v]
+        nb &= ~s
+        if _popcount(nb) >= b:
+            return s, nb, count
+    return 0, 0, count
+
+
+def _is_star(h: Graph) -> bool:
+    """K_{1,b}: a tree with a vertex adjacent to all others."""
+    return h.n >= 2 and h.e == h.n - 1 and h.max_degree() == h.n - 1
+
+
+def _star_search(g: Graph, h: Graph, budget: int):
+    """_minor_search for a star pattern h via the boundary criterion: the
+    centre's branch set is S, each leaf a single vertex of N(S) minus S."""
+    s, nb, used = _star_boundary(g, h.n - 1, budget)
+    if not s:
+        return False, None, used
+    centre = next(v for v in range(h.n) if h.degree(v) == h.n - 1)
+    out = [1 << u for u in _bits(nb)][: h.n - 1]
+    out.insert(centre, s)
+    return True, out, used
+
+
 def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
     """Exact minor test within the expansion budget.  A "contains" answer
     carries branch sets that revalidate independently."""
@@ -169,8 +210,9 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
                     raise AssertionError("component witness failed revalidation")
                 return out
         return MinorWitness(VERDICT_FREE, None, spent)
+    search = _star_search if _is_star(h) else _minor_search
     try:
-        found, masks, used = _minor_search(g, h, budget)
+        found, masks, used = search(g, h, budget)
     except _BudgetExceeded:
         return MinorWitness(VERDICT_BUDGET, None, budget)
     if not found:
@@ -183,21 +225,12 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
 
 
 def star_minor_free(g: Graph, b: int) -> bool:
-    """K_{1,b}-minor freeness via the boundary criterion: a star minor
-    with b leaves exists iff some connected subset has at least b
-    neighbours outside itself."""
+    """K_{1,b}-minor freeness via the boundary criterion (_star_boundary),
+    without an expansion budget."""
     if b < 1:
         raise ValueError("need b >= 1")
-    if g.max_degree() >= b:
-        return False
-    full = (1 << g.n) - 1
-    for s in _connected_subsets(g.rows, full, g.n):
-        nb = 0
-        for v in _bits(s):
-            nb |= g.rows[v]
-        if _popcount(nb & ~s) >= b:
-            return False
-    return True
+    s, _, _ = _star_boundary(g, b, math.inf)
+    return not s
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ import numpy as np
 
 from .graphs import Graph, _bits
 
-#: convergence defaults, fixed so reports are comparable across runs
-RAYLEIGH_TOL = 1e-12
+#: numerical contract, fixed so reports are comparable across runs
 RESIDUAL_TOL = 1e-10
 LAMBDA_TIE_TOL = 1e-9
 
@@ -41,49 +40,6 @@ def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     return m
 
 
-# ---------------------------------------------------------------------
-# dense symmetric eigensolver (cyclic Jacobi) — authoritative fallback
-# ---------------------------------------------------------------------
-
-def jacobi_eigh(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi
-    rotations.  Returns (eigenvalues ascending, eigenvector columns)."""
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(max_sweeps):
-        off = math.sqrt(sum(a[i, j] ** 2 for i in range(n) for j in range(i + 1, n)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp, rq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * rp - s * rq
-                a[:, q] = s * rp + c * rq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
 @dataclass(frozen=True)
 class SpectralResult:
     """Largest alpha-matrix eigenvalue with its eigenvector.
@@ -96,8 +52,6 @@ class SpectralResult:
     lam: float
     vector: tuple[float, ...]
     residual: float
-    iterations: int
-    method: str  # "power" | "dense"
     is_perron: bool
 
     def to_json(self) -> str:
@@ -106,59 +60,27 @@ class SpectralResult:
                 "lambda": self.lam,
                 "vector": list(self.vector),
                 "residual": self.residual,
-                "iterations": self.iterations,
-                "method": self.method,
                 "is_perron": self.is_perron,
             }
         )
 
 
-def _power_iteration(m: np.ndarray, tol: float):
-    """Power iteration on m + I (shift keeps the iteration primitive on
-    bipartite graphs at alpha = 0).  Returns (lam, vec, resid, iters) or
-    None on non-convergence within the iteration cap."""
-    n = m.shape[0]
-    shifted = m + np.eye(n)
-    x = np.full(n, 1.0 / math.sqrt(n))
-    cap = int(100 * n * max(1.0, math.log(max(n, 2))) + 10_000)
-    prev = math.inf
-    for it in range(1, cap + 1):
-        y = shifted @ x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return None
-        x = y / norm
-        ray = float(x @ (shifted @ x))
-        if abs(ray - prev) < tol:
-            lam = ray - 1.0
-            resid = float(np.max(np.abs(m @ x - lam * x)))
-            if resid < RESIDUAL_TOL:
-                return lam, x, resid, it
-        prev = ray
-    return None
-
-
-def _solve_component(g: Graph, alpha: float, tol: float):
+def _solve_component(g: Graph, alpha: float):
+    """Top eigenpair of a connected graph's alpha matrix by LAPACK eigh.
+    Perron-Frobenius makes the top eigenvector single-signed; abs() also
+    lifts entries that rounding leaves just below zero, which a sign flip
+    would not."""
     m = alpha_matrix(g, alpha)
-    if g.n == 1:
-        return 0.0, np.ones(1), 0.0, 0, "dense"
-    out = _power_iteration(m, tol)
-    if out is not None:
-        lam, x, resid, it = out
-        if np.min(x) < 0:
-            x = -x
-        if np.min(x) > 0:
-            return lam, x, resid, it, "power"
-    w, v = jacobi_eigh(m)
+    w, v = np.linalg.eigh(m)
     lam = float(w[-1])
-    x = v[:, -1]
-    if np.sum(x) < 0:
-        x = -x
+    x = np.abs(v[:, -1])
     resid = float(np.max(np.abs(m @ x - lam * x)))
-    return lam, x, resid, 0, "dense"
+    if resid > RESIDUAL_TOL:
+        raise RuntimeError(f"eigen residual {resid:.3e} exceeds {RESIDUAL_TOL:g}")
+    return lam, x, resid
 
 
-def spectral_radius(g: Graph, alpha: float, tol: float = RAYLEIGH_TOL) -> SpectralResult:
+def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
     """Largest eigenvalue of the alpha matrix with its eigenvector.
 
     Connected graphs get the positive Perron vector.  Disconnected graphs
@@ -171,21 +93,20 @@ def spectral_radius(g: Graph, alpha: float, tol: float = RAYLEIGH_TOL) -> Spectr
         raise ValueError("spectral radius of the empty graph is undefined")
     comps = g.component_masks()
     if len(comps) == 1:
-        lam, x, resid, it, method = _solve_component(g, alpha, tol)
+        lam, x, resid = _solve_component(g, alpha)
         x = x / np.linalg.norm(x)
-        return SpectralResult(lam, tuple(float(t) for t in x), resid, it, method, True)
+        return SpectralResult(lam, tuple(float(t) for t in x), resid, True)
     best = None
     for mask in comps:
         verts = list(_bits(mask))
-        sub = g.induced(verts)
-        lam, x, resid, it, method = _solve_component(sub, alpha, tol)
+        lam, x, resid = _solve_component(g.induced(verts), alpha)
         if best is None or lam > best[0] + LAMBDA_TIE_TOL:
-            best = (lam, verts, x, resid, it, method)
-    lam, verts, x, resid, it, method = best
+            best = (lam, verts, x, resid)
+    lam, verts, x, resid = best
     full = np.zeros(g.n)
     full[verts] = x
     full /= np.linalg.norm(full)
-    return SpectralResult(lam, tuple(float(t) for t in full), resid, it, method, False)
+    return SpectralResult(lam, tuple(float(t) for t in full), resid, False)
 
 
 def eigen_equation_residual(g: Graph, alpha: float, res: SpectralResult) -> float:

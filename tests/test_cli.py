@@ -192,3 +192,19 @@ def test_table_format_default(capsys):
     code, out, _ = run(capsys, "construct", "K:3")
     assert code == EXIT_OK
     assert "graph6:" in out and "config" not in out
+
+
+def test_budget_below_one_is_usage_error(capsys):
+    for budget in ("0", "-5"):
+        code, out, err = run(capsys, "minor", "petersen", "K_{2,3}",
+                             "--budget", budget, "--format", "json")
+        assert code == EXIT_USAGE and out == "" and "--budget" in err
+    code, _, _ = run(capsys, "minor", "petersen", "K_{2,3}", "--budget", "1")
+    assert code == EXIT_BUDGET
+
+
+def test_verify_empty_b_range_is_usage_error(capsys):
+    for rng in ("8..3", "5..4"):
+        code, out, err = run(capsys, "verify", "lemma-updown", "--b", rng,
+                             "--format", "json")
+        assert code == EXIT_USAGE and out == "" and "empty --b range" in err

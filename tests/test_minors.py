@@ -20,10 +20,12 @@ from kabminor.graphs import (
     subdivided_clique,
 )
 from kabminor.minors import (
+    DEFAULT_BUDGET,
     VERDICT_BUDGET,
     VERDICT_CONTAINS,
     VERDICT_FREE,
     MinorWitness,
+    _minor_search,
     ab_property,
     ab_property_complement_criterion,
     find_clique_dominating_set,
@@ -82,13 +84,21 @@ def test_star_minor_free_basics():
     assert not star_minor_free(complete(5), 4)
 
 
+def _generic_star_free(g, b):
+    """The K_{1,b} question put to the generic branch-set search."""
+    found, _, _ = _minor_search(g, star(b), DEFAULT_BUDGET)
+    return not found
+
+
 def test_star_fast_path_agrees_with_generic():
     for n in range(2, 7):
         for g in enumerate_graphs(n):
             for b in range(1, n + 1):
                 fast = star_minor_free(g, b)
-                generic = has_minor(g, star(b)).verdict == VERDICT_FREE
-                assert fast == generic, (g.to_graph6(), b)
+                assert fast == _generic_star_free(g, b), (g.to_graph6(), b)
+                w = has_minor(g, star(b))
+                assert (w.verdict == VERDICT_FREE) == fast
+                assert fast or validate_witness(g, star(b), w)
 
 
 def test_star_fast_path_spot_n7():
@@ -97,7 +107,26 @@ def test_star_fast_path_spot_n7():
     for idx in rng.choice(len(corpus), 40, replace=False):
         g = corpus[idx]
         for b in (3, 4, 6):
-            assert star_minor_free(g, b) == (has_minor(g, star(b)).verdict == VERDICT_FREE)
+            assert star_minor_free(g, b) == _generic_star_free(g, b)
+
+
+def test_star_pattern_routing():
+    # a dominating vertex alone does not make a star: K_4 minus an edge
+    # must still go to the generic search and be found in K_4
+    paw = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    w = has_minor(complete(4), paw)
+    assert w.verdict == VERDICT_CONTAINS and validate_witness(complete(4), paw, w)
+    assert has_minor(star(5), paw).verdict == VERDICT_FREE
+    # the star route answers K_{1,7} on the Petersen complement within a
+    # few expansions, and spends its budget like the generic engine
+    g = petersen_complement()
+    w = has_minor(g, complete_bipartite(1, 7))
+    assert w.verdict == VERDICT_CONTAINS and w.expansions < 100
+    assert validate_witness(g, complete_bipartite(1, 7), w)
+    w = has_minor(g, complete_bipartite(1, 8))
+    assert w.verdict == VERDICT_FREE and w.expansions < 1000
+    assert has_minor(g, complete_bipartite(1, 8), budget=5) == \
+        MinorWitness(VERDICT_BUDGET, None, 5)
 
 
 def test_ab_property_examples():

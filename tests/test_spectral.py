@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kabminor.extremal import enumerate_graphs
 from kabminor.graphs import (
     complete,
     cycle,
@@ -29,7 +30,6 @@ from kabminor.spectral import (
     f2_threshold_closed,
     g_eval,
     h_eval,
-    jacobi_eigh,
     majorization_check,
     dot_inequality,
     perron_stats,
@@ -122,15 +122,37 @@ def test_disconnected_radius():
     assert any(x == 0.0 for x in res.vector)
 
 
-def test_jacobi_matches_numpy():
-    rng = np.random.default_rng(3)
-    for n in (2, 5, 9):
-        m = rng.standard_normal((n, n))
-        m = m + m.T
-        w, v = jacobi_eigh(m)
-        ref = np.linalg.eigvalsh(m)
-        assert np.allclose(w, ref, atol=1e-10)
-        assert np.allclose(m @ v, v @ np.diag(w), atol=1e-9)
+def test_disconnected_tie_takes_component_of_vertex_zero():
+    # two equal triangles tie at lambda = 2; the vector must live on the
+    # component that holds vertex 0
+    g = disjoint_union([cycle(3), cycle(3)])
+    for a in (0.0, 0.5):
+        res = spectral_radius(g, a)
+        assert abs(res.lam - 2) < 1e-12 and not res.is_perron
+        assert min(res.vector[:3]) > 0 and res.vector[3:] == (0.0, 0.0, 0.0)
+    g = from_edges(6, [(0, 3), (3, 5), (5, 0), (1, 2), (2, 4), (4, 1)])
+    res = spectral_radius(g, 0.3)
+    assert [v for v, x in enumerate(res.vector) if x > 0] == [0, 3, 5]
+
+
+def test_eigh_matches_oracle_on_all_connected_graphs_up_to_order_7():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected_only=True):
+            for a in (0.0, 0.5, 0.9):
+                res = spectral_radius(g, a)
+                ref = float(np.linalg.eigvalsh(alpha_matrix(g, a))[-1])
+                assert abs(res.lam - ref) <= 1e-9, (g.to_graph6(), a)
+                assert eigen_equation_residual(g, a, res) <= 1e-10
+                assert res.is_perron and min(res.vector) > 0, (g.to_graph6(), a)
+
+
+def test_perron_vector_nonnegative_below_rounding():
+    # Perron entries fall to about 1e-28 here, below eigh's rounding, so
+    # some come back as tiny negatives unless their sign is cleared
+    g = subdivided_clique(30, 31)
+    res = spectral_radius(g, 0.9)
+    assert res.is_perron and min(res.vector) >= 0
+    assert res.residual <= 1e-10
 
 
 def test_quotient_star():
