@@ -298,7 +298,9 @@ def cmd_search(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.suites or ["all"]
-    if args.b and names == ["lemma-updown"]:
+    if args.b is not None:
+        if names != ["lemma-updown"]:
+            raise SpecError("--b applies only to the lemma-updown suite run alone")
         lo, _, hi = args.b.partition("..")
         bs = range(int(lo), int(hi or lo) + 1)
         if not bs:
@@ -338,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "table", "csv"), default="table")
         p.add_argument("--alpha", type=float, default=0.0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_positive_int, default=1)
         p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("construct", help="build a named family or grammar expression")

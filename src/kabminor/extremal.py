@@ -4,12 +4,15 @@ rules that pick the conjectured/known maximizer family for given
 
 Canonical forms use colour refinement with individualization and
 twin-pruned backtracking, exact for n <= 10.  The internal enumerator
-builds all graphs up to isomorphism for n <= 8 by vertex augmentation
-with canonical-form dedup.
+builds all graphs up to isomorphism for n <= 8 by vertex augmentation:
+the added vertex must have minimum degree in the child, one
+neighbourhood is tried per orbit of the parent's twin swaps, and the
+children are deduplicated by canonical form.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing as mp
 from dataclasses import dataclass
@@ -25,8 +28,6 @@ from .graphs import (
     CLAUSE_SUBDIVIDED,
     FamilyParams,
     Graph,
-    _bits,
-    _popcount,
     extremal_family,
     from_graph6,
 )
@@ -56,29 +57,44 @@ CONNECTED_GRAPH_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 def _refine(rows, cells):
     """Colour refinement to a stable partition; cell order is determined
     by invariant signatures only."""
-    cells = [list(c) for c in cells]
     while True:
-        changed = False
-        masks = [0] * len(cells)
-        for i, c in enumerate(cells):
+        masks = []
+        for c in cells:
+            m = 0
             for v in c:
-                masks[i] |= 1 << v
+                m |= 1 << v
+            masks.append(m)
         new_cells = []
         for c in cells:
-            if len(c) == 1:
-                new_cells.append(c)
-                continue
-            groups: dict[tuple, list[int]] = {}
-            for v in c:
-                sig = tuple(_popcount(rows[v] & m) for m in masks)
-                groups.setdefault(sig, []).append(v)
-            if len(groups) > 1:
-                changed = True
-            for sig in sorted(groups):
-                new_cells.append(groups[sig])
+            if len(c) > 1:
+                groups: dict[tuple, list[int]] = {}
+                for v in c:
+                    r = rows[v]
+                    groups.setdefault(tuple([(r & m).bit_count() for m in masks]), []).append(v)
+                if len(groups) > 1:
+                    new_cells.extend(groups[sig] for sig in sorted(groups))
+                    continue
+            new_cells.append(c)
+        if len(new_cells) == len(cells):
+            return new_cells
         cells = new_cells
-        if not changed:
-            return cells
+
+
+def _twin_classes(rows, vertices):
+    """The vertices grouped into twin classes, each in the given order and
+    the classes by first member.  Twins have identical rows once their
+    mutual bits are cleared, so swapping two is an automorphism."""
+    classes: list[list[int]] = []
+    for v in vertices:
+        for cls in classes:
+            u = cls[0]
+            off = ~(1 << v | 1 << u)
+            if rows[v] & off == rows[u] & off:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
 
 
 def _encode(rows, lab):
@@ -96,12 +112,12 @@ def _encode(rows, lab):
     return bytes([n]) + (bits << (nbytes * 8 - count)).to_bytes(nbytes, "big")
 
 
-def _canonical_search(g: Graph):
-    rows = g.rows
-    n = g.n
+def _canonical_search(rows):
+    """(canonical code, labelling) of the graph with adjacency rows: lab[p]
+    is the vertex put at position p."""
     by_deg: dict[int, list[int]] = {}
-    for v in range(n):
-        by_deg.setdefault(g.degree(v), []).append(v)
+    for v, r in enumerate(rows):
+        by_deg.setdefault(r.bit_count(), []).append(v)
     cells = _refine(rows, [by_deg[d] for d in sorted(by_deg)])
     best: list = [None, None]
 
@@ -114,24 +130,23 @@ def _canonical_search(g: Graph):
                 best[0], best[1] = code, lab
             return
         cell = cells[tgt]
-        # twins (identical rows once their mutual bits are cleared) are
-        # swapped by an automorphism, so one representative branch suffices
-        reps: list[int] = []
-        for v in cell:
-            dup = False
-            for u in reps:
-                off = ~(1 << v) & ~(1 << u)
-                if rows[v] & off == rows[u] & off:
-                    dup = True
-                    break
-            if not dup:
-                reps.append(v)
-        for v in reps:
+        # one representative branch per twin class suffices
+        for cls in _twin_classes(rows, cell):
+            v = cls[0]
             split = cells[:tgt] + [[v], [u for u in cell if u != v]] + cells[tgt + 1:]
             rec(_refine(rows, split))
 
     rec(cells)
     return best[0], best[1]
+
+
+def _relabelled(rows, lab) -> Graph:
+    """The unlabelled graph with adjacency rows, relabelled so that lab[p]
+    sits at position p."""
+    perm = [0] * len(lab)
+    for p, v in enumerate(lab):
+        perm[v] = p
+    return Graph(len(lab), rows).relabel(perm)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -141,7 +156,7 @@ def canonical_form(g: Graph) -> bytes:
         raise ValueError(f"canonical form supported only up to n = {CANONICAL_MAX_N}")
     if g.n == 0:
         return b"\x00"
-    code, _ = _canonical_search(g)
+    code, _ = _canonical_search(g.rows)
     return code
 
 
@@ -151,11 +166,8 @@ def canonical_graph(g: Graph) -> Graph:
         return g
     if g.n > CANONICAL_MAX_N:
         raise ValueError(f"canonical form supported only up to n = {CANONICAL_MAX_N}")
-    _, lab = _canonical_search(g)
-    perm = [0] * g.n
-    for p, v in enumerate(lab):
-        perm[v] = p
-    return Graph(g.n, g.relabel(perm).rows)
+    _, lab = _canonical_search(g.rows)
+    return _relabelled(g.rows, lab)
 
 
 # ---------------------------------------------------------------------
@@ -165,28 +177,49 @@ def canonical_graph(g: Graph) -> Graph:
 _ENUM_CACHE: dict[int, list[Graph]] = {}
 
 
+def _augmentation_masks(g: Graph):
+    """Neighbourhood masks for a vertex added to g that has minimum degree
+    in the child, one mask per orbit of the twin swaps of g: inside each
+    twin class the mask's bits form a prefix of the class."""
+    degs = g.degrees()
+    prefixes = []
+    for cls in _twin_classes(g.rows, range(g.n)):
+        acc = 0
+        options = [0]
+        for v in cls:
+            acc |= 1 << v
+            options.append(acc)
+        prefixes.append(options)
+    for parts in itertools.product(*prefixes):
+        mask = sum(parts)
+        k = mask.bit_count()
+        if all(d + (mask >> v & 1) >= k for v, d in enumerate(degs)):
+            yield mask
+
+
 def enumerate_graphs(n: int, connected_only: bool = False):
     """All graphs of order n up to isomorphism (internal enumerator,
-    n <= 8), in canonical-form order."""
+    n <= 8), in canonical-form order.
+
+    Each graph of order n - 1 is extended by one vertex.  Every graph has
+    a vertex of minimum degree whose deletion leaves a graph of order
+    n - 1, so only masks that give the new vertex minimum degree in the
+    child are tried, and of those one per twin-swap orbit of the parent
+    (see _augmentation_masks).  Children are deduplicated by canonical
+    code and stored canonically labelled."""
     if not 1 <= n <= ENUMERATE_MAX_N:
         raise ValueError(f"internal enumerator handles 1 <= n <= {ENUMERATE_MAX_N}")
     if n not in _ENUM_CACHE:
         if n == 1:
             _ENUM_CACHE[1] = [Graph(1, (0,))]
         else:
-            prev = enumerate_graphs(n - 1)
             seen: dict[bytes, Graph] = {}
-            for g in prev:
-                for mask in range(1 << (n - 1)):
-                    rows = [r | ((mask >> v & 1) << (n - 1)) for v, r in enumerate(g.rows)]
-                    rows.append(mask)
-                    child = Graph(n, tuple(rows))
-                    code, lab = _canonical_search(child)
+            for g in enumerate_graphs(n - 1):
+                for mask in _augmentation_masks(g):
+                    rows = tuple(r | (mask >> v & 1) << (n - 1) for v, r in enumerate(g.rows)) + (mask,)
+                    code, lab = _canonical_search(rows)
                     if code not in seen:
-                        perm = [0] * n
-                        for pos, v in enumerate(lab):
-                            perm[v] = pos
-                        seen[code] = Graph(n, child.relabel(perm).rows)
+                        seen[code] = _relabelled(rows, lab)
             _ENUM_CACHE[n] = [seen[c] for c in sorted(seen)]
     out = _ENUM_CACHE[n]
     if connected_only:
@@ -369,15 +402,14 @@ class SearchReport:
 
 
 def _worker(payload):
-    g6, name, args, alpha, budget = payload
-    g = from_graph6(g6)
+    g, name, args, alpha, budget = payload
     try:
         ok = _check_constraint(g, name, args, budget)
     except BudgetAbort:
-        return (g6, "budget", 0.0)
+        return ("budget", 0.0)
     if not ok:
-        return (g6, "out", 0.0)
-    return (g6, "in", spectral_radius(g, alpha).lam)
+        return ("out", 0.0)
+    return ("in", spectral_radius(g, alpha).lam)
 
 
 def search_max(
@@ -396,16 +428,16 @@ def search_max(
     check_alpha(alpha)
     name, args = parse_constraint(constraint)
     graphs = list(corpus)
-    payloads = [(g.to_graph6(), name, args, alpha, budget) for g in graphs]
+    payloads = [(g, name, args, alpha, budget) for g in graphs]
     if jobs > 1 and len(payloads) > 1:
         with mp.get_context("fork").Pool(jobs) as pool:
             results = pool.map(_worker, payloads, chunksize=64)
     else:
         results = [_worker(p) for p in payloads]
     lam_by_graph = []
-    for (g6, status, lam), g in zip(results, graphs):
+    for (status, lam), g in zip(results, graphs):
         if status == "budget":
-            raise BudgetAbort(g6)
+            raise BudgetAbort(g.to_graph6())
         if status == "in":
             lam_by_graph.append((g, lam))
     if not lam_by_graph and graphs:
@@ -441,8 +473,8 @@ def search_max(
 # ---------------------------------------------------------------------
 
 def _lambda_worker(payload):
-    g6, alpha = payload
-    return spectral_radius(from_graph6(g6), alpha).lam
+    g, alpha = payload
+    return spectral_radius(g, alpha).lam
 
 
 def compare_candidates(candidates, alpha: float, jobs: int = 1):
@@ -458,7 +490,7 @@ def compare_candidates(candidates, alpha: float, jobs: int = 1):
     n0 = items[0][1].n
     if any(g.n != n0 for _, g in items):
         raise ValueError("candidates must share one order")
-    payloads = [(g.to_graph6(), alpha) for _, g in items]
+    payloads = [(g, alpha) for _, g in items]
     if jobs > 1 and len(payloads) > 1:
         with mp.get_context("fork").Pool(jobs) as pool:
             lams = pool.map(_lambda_worker, payloads)

@@ -208,3 +208,16 @@ def test_verify_empty_b_range_is_usage_error(capsys):
         code, out, err = run(capsys, "verify", "lemma-updown", "--b", rng,
                              "--format", "json")
         assert code == EXIT_USAGE and out == "" and "empty --b range" in err
+
+
+def test_jobs_below_one_is_usage_error(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "search", "--n", "5", "--constraint",
+                             "star-minor-free:3", "--jobs", jobs, "--format", "json")
+        assert code == EXIT_USAGE and out == "" and "--jobs" in err
+
+
+def test_verify_b_outside_lemma_updown_is_usage_error(capsys):
+    for suites in (["polynomial-identities"], [], ["lemma-updown", "polynomial-identities"]):
+        code, out, err = run(capsys, "verify", *suites, "--b", "3..4", "--format", "json")
+        assert code == EXIT_USAGE and out == "" and "--b" in err

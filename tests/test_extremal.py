@@ -32,9 +32,12 @@ from kabminor.graphs import (
     cycle,
     disjoint_union,
     from_edges,
+    from_graph6,
+    Graph,
     join,
     path_graph,
     petersen_complement,
+    star,
     star_forest,
     subdivided_clique,
 )
@@ -87,11 +90,40 @@ def test_canonical_form_random_permutations():
 
 
 def test_enumeration_counts():
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert len(enumerate_graphs(n)) == GRAPH_COUNTS[n - 1]
         assert len(enumerate_graphs(n, connected_only=True)) == CONNECTED_GRAPH_COUNTS[n - 1]
     with pytest.raises(ValueError):
         enumerate_graphs(9)
+
+
+def _unpruned_augmentation(n, prev):
+    """Every one-vertex extension of every graph in prev, deduplicated by
+    canonical form and listed canonically labelled in code order."""
+    seen = {}
+    for g in prev:
+        for mask in range(1 << (n - 1)):
+            rows = [r | (mask >> v & 1) << (n - 1) for v, r in enumerate(g.rows)]
+            child = Graph(n, tuple(rows) + (mask,))
+            code = canonical_form(child)
+            if code not in seen:
+                seen[code] = canonical_graph(child)
+    return [seen[c] for c in sorted(seen)]
+
+
+def test_enumeration_matches_unpruned_augmentation():
+    prev = [Graph(1, (0,))]
+    assert enumerate_graphs(1) == prev
+    for n in range(2, 8):
+        prev = _unpruned_augmentation(n, prev)
+        assert enumerate_graphs(n) == prev
+
+
+def test_enumeration_order_eight_is_canonical():
+    corpus = enumerate_graphs(8)
+    forms = {canonical_form(g) for g in corpus}
+    assert len(forms) == len(corpus)
+    assert all(canonical_graph(g) == g for g in corpus)
 
 
 def test_enumeration_no_isomorphic_duplicates():
@@ -201,10 +233,14 @@ def test_search_maximizers_satisfy_constraint():
 
 
 def test_search_deterministic_across_jobs():
-    corpus = enumerate_graphs(6, True)
+    # two disconnected graphs, one of them labelled, beside connected unlabelled ones
+    corpus = enumerate_graphs(6, True) + [disjoint_union([cycle(3), complete(3)]),
+                                          disjoint_union([star(2), cycle(3)])]
     r1 = search_max(corpus, "star-minor-free:3", 0.5, jobs=1)
-    r2 = search_max(corpus, "star-minor-free:3", 0.5, jobs=4)
-    assert r1.to_json() == r2.to_json()
+    for jobs in (2, 4):
+        assert search_max(corpus, "star-minor-free:3", 0.5, jobs=jobs).to_json() == r1.to_json()
+    decoded = [from_graph6(g.to_graph6()) for g in corpus]
+    assert search_max(decoded, "star-minor-free:3", 0.5).to_json() == r1.to_json()
 
 
 def test_search_invariant_under_relabeling():
@@ -218,9 +254,11 @@ def test_search_invariant_under_relabeling():
 
 
 def test_search_budget_abort():
-    corpus = [join(complete(2), cycle(8))]
-    with pytest.raises(BudgetAbort):
-        search_max(corpus, "kab-minor-free:3,4", 0.1, budget=3)
+    aborting = join(complete(2), cycle(8))
+    for jobs in (1, 2):
+        with pytest.raises(BudgetAbort) as exc:
+            search_max([complete(3), aborting], "kab-minor-free:3,4", 0.1, budget=3, jobs=jobs)
+        assert exc.value.graph6 == aborting.to_graph6()
 
 
 def test_compare_candidates():
@@ -236,10 +274,14 @@ def test_compare_candidates():
 
 
 def test_compare_candidates_jobs_invariant():
-    cands = [("a", complete(6)), ("b", cycle(6)), ("c", subdivided_clique(4, 2))]
-    r1 = compare_candidates(cands, 0.4, jobs=1)
-    r2 = compare_candidates(cands, 0.4, jobs=3)
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+    cands = [("a", complete(6)), ("b", cycle(6)), ("c", subdivided_clique(4, 2)),
+             ("disconnected", disjoint_union([complete(4), complete(2)])),
+             ("labelled", join(complete(1), star(4)))]
+    r1 = json.dumps(compare_candidates(cands, 0.4, jobs=1), sort_keys=True)
+    for jobs in (2, 3):
+        assert json.dumps(compare_candidates(cands, 0.4, jobs=jobs), sort_keys=True) == r1
+    decoded = [(cid, from_graph6(g.to_graph6())) for cid, g in cands]
+    assert json.dumps(compare_candidates(decoded, 0.4), sort_keys=True) == r1
 
 
 def test_order_ten_block_edge_counts():
