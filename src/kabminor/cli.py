@@ -2,6 +2,11 @@
 compute alpha spectral radii, run minor checks, exhaustive searches, and
 verification suites.
 
+Each command takes only the options it reads, so the config block of its
+JSON output lists only settings that took effect: --format (json or
+table; verify adds csv) everywhere, --alpha on construct, lambda and
+search, --budget on minor and search, --jobs on search alone.
+
 Exit codes: 0 success/pass, 1 check failure (or minor found, for the
 minor command), 2 usage error, 3 budget-inconclusive.
 """
@@ -34,7 +39,7 @@ from .graphs import (
     star_forest,
     subdivided_clique,
 )
-from .minors import DEFAULT_BUDGET, has_minor, star_minor_free
+from .minors import DEFAULT_BUDGET, has_minor
 from .spectral import spectral_radius
 
 EXIT_OK = 0
@@ -275,7 +280,10 @@ def cmd_minor(args) -> int:
 
 def cmd_search(args) -> int:
     if args.corpus:
-        corpus = ex.ingest_graph6(args.corpus)
+        try:
+            corpus = ex.ingest_graph6(args.corpus)
+        except OSError as exc:
+            raise SpecError(f"cannot read --corpus {args.corpus}: {exc.strerror}") from exc
         source = args.corpus
     else:
         if args.n is None:
@@ -330,6 +338,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_OPTIONS = {
+    "alpha": {"type": float, "default": 0.0},
+    "jobs": {"type": _positive_int, "default": 1},
+    "budget": {"type": _positive_int, "default": DEFAULT_BUDGET},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kabminor",
                                  description="spectral extremal analysis of "
@@ -337,11 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "table", "csv"), default="table")
-        p.add_argument("--alpha", type=float, default=0.0)
-        p.add_argument("--jobs", type=_positive_int, default=1)
-        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    def options(p, *names, formats=("json", "table")):
+        p.add_argument("--format", choices=formats, default="table")
+        for name in names:
+            p.add_argument(f"--{name}", **_OPTIONS[name])
 
     p = sub.add_parser("construct", help="build a named family or grammar expression")
     p.add_argument("spec", help="family spec, or 'extremal' with --a/--b/--n")
@@ -349,19 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--dot", action="store_true", help="include DOT output")
-    common(p)
+    options(p, "alpha")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("lambda", help="alpha spectral radius of a graph")
     p.add_argument("spec", help="family spec or graph6")
     p.add_argument("--perron", action="store_true", help="include the eigenvector")
-    common(p)
+    options(p, "alpha")
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("minor", help="minor containment with witness")
     p.add_argument("spec", help="host graph: family spec or graph6")
     p.add_argument("pattern", help="pattern: K_{r,s}, family spec, or graph6")
-    common(p)
+    options(p, "budget")
     p.set_defaults(func=cmd_minor)
 
     p = sub.add_parser("search", help="exhaustive maximizer search over a corpus")
@@ -373,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include disconnected graphs")
     p.add_argument("--a", type=int, help="attach a clause prediction")
     p.add_argument("--b", type=int)
-    common(p)
+    options(p, "alpha", "jobs", "budget")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suites", nargs="*", help=f"suites: {', '.join(vf.SUITES)} or all")
     p.add_argument("--b", help="b range for lemma-updown, e.g. 3..8")
-    common(p)
+    options(p, formats=("json", "table", "csv"))
     p.set_defaults(func=cmd_verify)
     return ap
 
@@ -392,9 +406,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

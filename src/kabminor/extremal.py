@@ -12,6 +12,7 @@ children are deduplicated by canonical form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import multiprocessing as mp
@@ -28,6 +29,7 @@ from .graphs import (
     CLAUSE_SUBDIVIDED,
     FamilyParams,
     Graph,
+    _bits,
     extremal_family,
     from_graph6,
 )
@@ -143,10 +145,10 @@ def _canonical_search(rows):
 def _relabelled(rows, lab) -> Graph:
     """The unlabelled graph with adjacency rows, relabelled so that lab[p]
     sits at position p."""
-    perm = [0] * len(lab)
+    pos = [0] * len(lab)
     for p, v in enumerate(lab):
-        perm[v] = p
-    return Graph(len(lab), rows).relabel(perm)
+        pos[v] = p
+    return Graph(len(lab), tuple(sum(1 << pos[u] for u in _bits(rows[v])) for v in lab))
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -259,19 +261,6 @@ class ExtremalPrediction:
     clause: str
     graph: Graph | None
     caveat: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.params.a,
-                "b": self.params.b,
-                "n": self.params.n,
-                "alpha": self.alpha,
-                "clause": self.clause,
-                "graph6": self.graph.to_graph6() if self.graph else None,
-                "caveat": self.caveat,
-            }
-        )
 
 
 def _select_clause(p: FamilyParams, alpha: float):
@@ -401,8 +390,16 @@ class SearchReport:
         )
 
 
-def _worker(payload):
-    g, name, args, alpha, budget = payload
+def _pmap(fn, items, jobs: int):
+    """[fn(x) for x in items], over a fork pool of jobs workers when
+    jobs > 1; results are in item order either way."""
+    if jobs > 1 and len(items) > 1:
+        with mp.get_context("fork").Pool(jobs) as pool:
+            return pool.map(fn, items)
+    return [fn(x) for x in items]
+
+
+def _worker(name, args, alpha, budget, g):
     try:
         ok = _check_constraint(g, name, args, budget)
     except BudgetAbort:
@@ -428,12 +425,7 @@ def search_max(
     check_alpha(alpha)
     name, args = parse_constraint(constraint)
     graphs = list(corpus)
-    payloads = [(g, name, args, alpha, budget) for g in graphs]
-    if jobs > 1 and len(payloads) > 1:
-        with mp.get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_worker, payloads, chunksize=64)
-    else:
-        results = [_worker(p) for p in payloads]
+    results = _pmap(functools.partial(_worker, name, args, alpha, budget), graphs, jobs)
     lam_by_graph = []
     for (status, lam), g in zip(results, graphs):
         if status == "budget":
@@ -472,8 +464,7 @@ def search_max(
 # candidate comparison
 # ---------------------------------------------------------------------
 
-def _lambda_worker(payload):
-    g, alpha = payload
+def _lambda_worker(alpha, g):
     return spectral_radius(g, alpha).lam
 
 
@@ -490,12 +481,7 @@ def compare_candidates(candidates, alpha: float, jobs: int = 1):
     n0 = items[0][1].n
     if any(g.n != n0 for _, g in items):
         raise ValueError("candidates must share one order")
-    payloads = [(g, alpha) for _, g in items]
-    if jobs > 1 and len(payloads) > 1:
-        with mp.get_context("fork").Pool(jobs) as pool:
-            lams = pool.map(_lambda_worker, payloads)
-    else:
-        lams = [_lambda_worker(p) for p in payloads]
+    lams = _pmap(functools.partial(_lambda_worker, alpha), [g for _, g in items], jobs)
     rows = [{"id": cid, "lambda": lam} for (cid, _), lam in zip(items, lams)]
     rows.sort(key=lambda r: (-r["lambda"], r["id"]))
     for i, r in enumerate(rows):

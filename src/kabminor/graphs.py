@@ -15,10 +15,6 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def _bits(x: int) -> Iterator[int]:
     """Indices of set bits, ascending."""
     while x:
@@ -61,13 +57,13 @@ class Graph:
     @property
     def e(self) -> int:
         """Edge count (half the degree sum)."""
-        return sum(_popcount(r) for r in self.rows) // 2
+        return sum(r.bit_count() for r in self.rows) // 2
 
     def degree(self, v: int) -> int:
-        return _popcount(self.rows[v])
+        return self.rows[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [_popcount(r) for r in self.rows]
+        return [r.bit_count() for r in self.rows]
 
     def degree_sequence(self) -> list[int]:
         """Degrees sorted non-increasing."""

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, _popcount, complete_bipartite
+from .graphs import Graph, _bits, complete_bipartite
 
 DEFAULT_BUDGET = 10**8
 
@@ -89,7 +89,7 @@ def _connected_subsets(rows, allowed: int, max_size: int):
 
 def _grow(rows, s: int, cand: int, allowed: int, max_size: int):
     yield s
-    if _popcount(s) >= max_size:
+    if s.bit_count() >= max_size:
         return
     banned = 0
     while cand:
@@ -114,7 +114,7 @@ def _minor_search(g: Graph, h: Graph, budget: int):
         if i == nh:
             return True
         free = ((1 << g.n) - 1) & ~used
-        slack = _popcount(free) - (nh - i)
+        slack = free.bit_count() - (nh - i)
         if slack < 0:
             return False
         hv = order[i]
@@ -163,7 +163,7 @@ def _star_boundary(g: Graph, b: int, budget: float):
         for v in _bits(s):
             nb |= g.rows[v]
         nb &= ~s
-        if _popcount(nb) >= b:
+        if nb.bit_count() >= b:
             return s, nb, count
     return 0, 0, count
 
@@ -283,7 +283,7 @@ def ab_property_complement_criterion(g: Graph, a: int, b: int) -> bool:
         raise ValueError("criterion applies to connected graphs")
     omega = min(a, (b + 1) // 2)
     comp = g.complement()
-    return all(_popcount(m) >= omega + 1 for m in comp.component_masks())
+    return all(m.bit_count() >= omega + 1 for m in comp.component_masks())
 
 
 def find_clique_dominating_set(g: Graph, size: int):

@@ -10,7 +10,6 @@ adjacency matrix; alpha = 1/2 gives half the signless Laplacian.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -53,16 +52,6 @@ class SpectralResult:
     vector: tuple[float, ...]
     residual: float
     is_perron: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lambda": self.lam,
-                "vector": list(self.vector),
-                "residual": self.residual,
-                "is_perron": self.is_perron,
-            }
-        )
 
 
 def _solve_component(g: Graph, alpha: float):

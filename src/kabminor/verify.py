@@ -385,8 +385,7 @@ def _check_cubic_at_radius(bs=(4, 6), alphas=(0.2, 0.5, 0.8)) -> CheckOutcome:
 # exhaustive small-order maximizer agreement
 # ---------------------------------------------------------------------
 
-def check_theorem_small_n(a: int, b: int, n_range, alphas=None,
-                          jobs: int = 1) -> CheckOutcome:
+def check_theorem_small_n(a: int, b: int, n_range, alphas=None) -> CheckOutcome:
     """Exhaustive search over the internal corpus versus the clause
     prediction.  Asserted for a = 1 in regimes with no large-order
     caveat; reported (inconclusive on disagreement) otherwise."""
@@ -402,8 +401,7 @@ def check_theorem_small_n(a: int, b: int, n_range, alphas=None,
                 continue
             constraint = (f"star-minor-free:{b}" if a == 1 else f"kab-minor-free:{a},{b}")
             rep = ex.search_max(corpus, constraint, alpha,
-                                corpus_source=f"internal:n={n}", jobs=jobs,
-                                prediction=pred)
+                                corpus_source=f"internal:n={n}", prediction=pred)
             asserted = a == 1 and (pred.clause == CLAUSE_STAR_FOREST
                                    or (pred.clause == CLAUSE_SUBDIVIDED and b == 3)
                                    or (pred.clause == CLAUSE_SUBDIVIDED and alpha >= 2 / (b + 1)))

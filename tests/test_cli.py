@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kabminor import __version__
 from kabminor.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -145,6 +146,14 @@ def test_search_corpus_file(capsys, tmp_path):
     assert abs(data["lambda_max"] - 2.0) < 1e-9  # K4 violates the constraint
 
 
+def test_search_unreadable_corpus_is_usage_error(capsys, tmp_path):
+    for path in (tmp_path / "missing.g6", tmp_path):
+        code, out, err = run(capsys, "search", "--constraint", "star-minor-free:3",
+                             "--corpus", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: cannot read --corpus") and "Traceback" not in err
+
+
 def test_search_budget_abort(capsys, tmp_path):
     from kabminor.graphs import join, complete as K
 
@@ -221,3 +230,48 @@ def test_verify_b_outside_lemma_updown_is_usage_error(capsys):
     for suites in (["polynomial-identities"], [], ["lemma-updown", "polynomial-identities"]):
         code, out, err = run(capsys, "verify", *suites, "--b", "3..4", "--format", "json")
         assert code == EXIT_USAGE and out == "" and "--b" in err
+
+
+_BASE_ARGV = {
+    "construct": ["construct", "C:5"],
+    "lambda": ["lambda", "C:5"],
+    "minor": ["minor", "C:5", "K_{1,3}"],
+    "search": ["search", "--constraint", "star-minor-free:3", "--n", "5"],
+    "verify": ["verify", "polynomial-identities"],
+}
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("construct", "--jobs", "2"), ("construct", "--budget", "5"),
+    ("construct", "--format", "csv"),
+    ("lambda", "--jobs", "2"), ("lambda", "--budget", "5"),
+    ("lambda", "--format", "csv"),
+    ("minor", "--alpha", "0.3"), ("minor", "--jobs", "2"),
+    ("minor", "--format", "csv"),
+    ("search", "--format", "csv"),
+    ("verify", "--alpha", "0.3"), ("verify", "--jobs", "2"),
+    ("verify", "--budget", "5"),
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, command, option, value):
+    code, out, err = run(capsys, *_BASE_ARGV[command], option, value)
+    assert code == EXIT_USAGE and out == "" and option in err
+
+
+@pytest.mark.parametrize("command,option,value,expected", [
+    ("construct", "--alpha", "0.3", 0.3),
+    ("lambda", "--alpha", "0.3", 0.3),
+    ("minor", "--budget", "1000", 1000),
+    ("search", "--alpha", "0.3", 0.3),
+    ("search", "--jobs", "2", 2),
+    ("search", "--budget", "1000", 1000),
+])
+def test_options_a_command_reads_are_in_config(capsys, command, option, value, expected):
+    code, out, _ = run(capsys, *_BASE_ARGV[command], option, value, "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["config"][option[2:]] == expected
+
+
+def test_lambda_config_lists_only_settings_read(capsys):
+    code, out, _ = run(capsys, "lambda", "C:5", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["config"] == {"alpha": 0.0, "command": "lambda",
+                                         "format": "json", "version": __version__}

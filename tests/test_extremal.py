@@ -284,6 +284,31 @@ def test_compare_candidates_jobs_invariant():
     assert json.dumps(compare_candidates(decoded, 0.4), sort_keys=True) == r1
 
 
+def test_layer_hooks_called_once_per_graph(monkeypatch):
+    # search_max and compare_candidates reach the spectral and star-minor
+    # layers through these module attributes, so a wrapper patched onto
+    # them sees every per-graph call
+    import kabminor.extremal as ex
+
+    calls = {"spectral": 0, "star": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ex, "spectral_radius", counting("spectral", ex.spectral_radius))
+    monkeypatch.setattr(ex, "star_minor_free", counting("star", ex.star_minor_free))
+    corpus = enumerate_graphs(6, True)
+    rep = search_max(corpus, "star-minor-free:3", 0.5, jobs=1)
+    assert 0 < rep.survivors < len(corpus)
+    assert calls == {"spectral": rep.survivors, "star": len(corpus)}
+    calls.update(spectral=0, star=0)
+    compare_candidates([(i, g) for i, g in enumerate(corpus)], 0.5, jobs=1)
+    assert calls == {"spectral": len(corpus), "star": 0}
+
+
 def test_order_ten_block_edge_counts():
     a = disjoint_union([complete(8), complete(2)])
     assert a.e == 29
