@@ -30,6 +30,7 @@ from .graphs import (
     FamilyParams,
     Graph,
     _bits,
+    _twin_classes,
     extremal_family,
     from_graph6,
 )
@@ -80,23 +81,6 @@ def _refine(rows, cells):
         if len(new_cells) == len(cells):
             return new_cells
         cells = new_cells
-
-
-def _twin_classes(rows, vertices):
-    """The vertices grouped into twin classes, each in the given order and
-    the classes by first member.  Twins have identical rows once their
-    mutual bits are cleared, so swapping two is an automorphism."""
-    classes: list[list[int]] = []
-    for v in vertices:
-        for cls in classes:
-            u = cls[0]
-            off = ~(1 << v | 1 << u)
-            if rows[v] & off == rows[u] & off:
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
-    return classes
 
 
 def _encode(rows, lab):
@@ -432,9 +416,9 @@ def search_max(
             raise BudgetAbort(g.to_graph6())
         if status == "in":
             lam_by_graph.append((g, lam))
-    if not lam_by_graph and graphs:
+    if not lam_by_graph:
         raise ValueError("no corpus graph satisfies the constraint")
-    lam_max = max(lam for _, lam in lam_by_graph) if lam_by_graph else float("nan")
+    lam_max = max(lam for _, lam in lam_by_graph)
     maximizers = sorted(
         canonical_graph(g).to_graph6()
         for g, lam in lam_by_graph

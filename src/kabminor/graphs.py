@@ -23,6 +23,23 @@ def _bits(x: int) -> Iterator[int]:
         x ^= b
 
 
+def _twin_classes(rows, vertices):
+    """The vertices grouped into twin classes, each in the given order and
+    the classes by first member.  Twins have identical rows once their
+    mutual bits are cleared, so swapping two is an automorphism."""
+    classes: list[list[int]] = []
+    for v in vertices:
+        for cls in classes:
+            u = cls[0]
+            off = ~(1 << v | 1 << u)
+            if rows[v] & off == rows[u] & off:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph.

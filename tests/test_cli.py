@@ -154,6 +154,20 @@ def test_search_unreadable_corpus_is_usage_error(capsys, tmp_path):
         assert err.startswith("error: cannot read --corpus") and "Traceback" not in err
 
 
+def test_search_without_survivors_is_usage_error(capsys, tmp_path):
+    # an empty corpus and a corpus the constraint rejects whole both
+    # leave nothing to rank
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    rejected = tmp_path / "k4.g6"
+    rejected.write_text(complete(4).to_graph6() + "\n")
+    for path in (empty, rejected):
+        code, out, err = run(capsys, "search", "--constraint", "star-minor-free:3",
+                             "--corpus", str(path), "--format", "json")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: no corpus graph satisfies the constraint\n"
+
+
 def test_search_budget_abort(capsys, tmp_path):
     from kabminor.graphs import join, complete as K
 

@@ -7,6 +7,7 @@ import pytest
 
 from kabminor.extremal import enumerate_graphs
 from kabminor.graphs import (
+    _bits,
     complete,
     complete_bipartite,
     cycle,
@@ -138,6 +139,14 @@ def test_ab_property_examples():
     assert not rep.overall  # K_{b+1} contains the b-leaf star minor
 
 
+def test_ab_property_star_pair_is_budgeted():
+    # the r = 1 pair goes through has_minor like every other pair
+    g = petersen_complement()
+    assert ab_property(g, 1, 8, budget=5).verdicts == (VERDICT_BUDGET,)
+    assert ab_property(g, 1, 8).verdicts == (VERDICT_FREE,)
+    assert ab_property(complete(4), 1, 3).verdicts == (VERDICT_CONTAINS,)
+
+
 def test_ab_property_report_json():
     rep = ab_property(cycle(4), 2, 3)
     data = json.loads(rep.to_json())
@@ -227,3 +236,60 @@ def test_witness_json_roundtrip():
     data = json.loads(w.to_json())
     assert data["verdict"] == "contains"
     assert len(data["branch_sets"]) == 3
+
+
+def _plain_has_minor(g, h):
+    """Unbroken backtracking: H-vertices in index order, each given every
+    connected set of the free vertices of g, with no symmetry breaking."""
+    full = (1 << g.n) - 1
+    conn = [m for m in range(1, full + 1)
+            if len(g.induced_mask(m).component_masks()) == 1]
+    nbhd = {}
+    for m in conn:
+        nbhd[m] = 0
+        for v in _bits(m):
+            nbhd[m] |= g.rows[v]
+    branch = []
+
+    def place(i, used):
+        if i == h.n:
+            return True
+        for m in conn:
+            if m & used:
+                continue
+            if all(nbhd[m] & branch[j] for j in h.neighbors(i) if j < i):
+                branch.append(m)
+                if place(i + 1, used | m):
+                    return True
+                branch.pop()
+        return False
+
+    return place(0, 0)
+
+
+def test_twin_ordered_search_matches_unbroken_search():
+    # every connected graph of order <= 6 against every K_{r,s} with
+    # 2 <= r <= s and r + s <= n, plus K_4 and K_4 minus an edge, whose
+    # twins are adjacent rather than independent
+    diamond = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    for n in range(4, 7):
+        patterns = [complete_bipartite(r, s) for r in range(2, n) for s in range(r, n - r + 1)]
+        patterns += [complete(4), diamond]
+        for g in enumerate_graphs(n, connected_only=True):
+            for h in patterns:
+                w = has_minor(g, h)
+                expected = VERDICT_CONTAINS if _plain_has_minor(g, h) else VERDICT_FREE
+                assert w.verdict == expected, (g.to_graph6(), h.rows)
+                assert expected == VERDICT_FREE or validate_witness(g, h, w)
+
+
+def test_twin_ordering_cuts_petersen_complement_expansions():
+    # the unbroken search spent 552,850 and 376,990 expansions on the two
+    # free verdicts and 102,000 on K_{2,6}
+    g = petersen_complement()
+    for (r, s), before in (((2, 7), 552_850), ((3, 6), 376_990)):
+        w = has_minor(g, complete_bipartite(r, s))
+        assert w.verdict == VERDICT_FREE and w.expansions <= before // 10
+    h = complete_bipartite(2, 6)
+    w = has_minor(g, h)
+    assert w.verdict == VERDICT_CONTAINS and validate_witness(g, h, w)
