@@ -6,8 +6,12 @@ Canonical forms use colour refinement with individualization and
 twin-pruned backtracking, exact for n <= 10.  The internal enumerator
 builds all graphs up to isomorphism for n <= 8 by vertex augmentation:
 the added vertex must have minimum degree in the child, one
-neighbourhood is tried per orbit of the parent's twin swaps, and the
-children are deduplicated by canonical form.
+neighbourhood is tried per orbit of the parent's twin swaps, a child is
+searched only when the added vertex lies in the first cell of its
+stable partition, and the children are deduplicated by canonical form.
+That first cell is an isomorphism-invariant set of minimum-degree
+vertices, so deleting any of its vertices gives a parent that reaches
+the class (see enumerate_graphs).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .graphs import (
 from .minors import (
     VERDICT_BUDGET,
     VERDICT_FREE,
+    BudgetExhausted,
     ab_property,
     find_clique_dominating_set,
     has_minor,
@@ -57,30 +62,54 @@ CONNECTED_GRAPH_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 # canonical form
 # ---------------------------------------------------------------------
 
-def _refine(rows, cells):
+def _mask(cell) -> int:
+    m = 0
+    for v in cell:
+        m |= 1 << v
+    return m
+
+
+def _refine(rows, cells, fresh):
     """Colour refinement to a stable partition; cell order is determined
-    by invariant signatures only."""
-    while True:
-        masks = []
-        for c in cells:
-            m = 0
-            for v in c:
-                m |= 1 << v
-            masks.append(m)
+    by invariant signatures only.
+
+    fresh lists the masks, in cell order, of the cells that the last split
+    created (all cells for a first refinement).  Every vertex of a cell
+    has equal counts into each older cell, so a signature needs counts
+    into fresh cells only, and ordering by it orders by the counts into
+    every cell.  Counts are at most CANONICAL_MAX_N - 1, so 4 bits each
+    pack a signature into one int that sorts as the tuple would."""
+    while fresh:
         new_cells = []
+        split = []
         for c in cells:
             if len(c) > 1:
-                groups: dict[tuple, list[int]] = {}
+                groups: dict[int, list[int]] = {}
                 for v in c:
                     r = rows[v]
-                    groups.setdefault(tuple([(r & m).bit_count() for m in masks]), []).append(v)
+                    sig = 0
+                    for m in fresh:
+                        sig = sig << 4 | (r & m).bit_count()
+                    groups.setdefault(sig, []).append(v)
                 if len(groups) > 1:
-                    new_cells.extend(groups[sig] for sig in sorted(groups))
+                    for sig in sorted(groups):
+                        new_cells.append(groups[sig])
+                        split.append(_mask(groups[sig]))
                     continue
             new_cells.append(c)
-        if len(new_cells) == len(cells):
-            return new_cells
-        cells = new_cells
+        cells, fresh = new_cells, split
+    return cells
+
+
+def _stable_partition(rows):
+    """The degree cells, by increasing degree, refined to a stable
+    partition.  Its first cell is an isomorphism-invariant set of
+    minimum-degree vertices."""
+    by_deg: dict[int, list[int]] = {}
+    for v, r in enumerate(rows):
+        by_deg.setdefault(r.bit_count(), []).append(v)
+    cells = [by_deg[d] for d in sorted(by_deg)]
+    return _refine(rows, cells, [_mask(c) for c in cells])
 
 
 def _encode(rows, lab):
@@ -98,13 +127,10 @@ def _encode(rows, lab):
     return bytes([n]) + (bits << (nbytes * 8 - count)).to_bytes(nbytes, "big")
 
 
-def _canonical_search(rows):
-    """(canonical code, labelling) of the graph with adjacency rows: lab[p]
-    is the vertex put at position p."""
-    by_deg: dict[int, list[int]] = {}
-    for v, r in enumerate(rows):
-        by_deg.setdefault(r.bit_count(), []).append(v)
-    cells = _refine(rows, [by_deg[d] for d in sorted(by_deg)])
+def _canonical_search(rows, cells):
+    """(canonical code, labelling) of the graph with adjacency rows,
+    searched from its stable partition cells: lab[p] is the vertex put at
+    position p."""
     best: list = [None, None]
 
     def rec(cells):
@@ -120,7 +146,7 @@ def _canonical_search(rows):
         for cls in _twin_classes(rows, cell):
             v = cls[0]
             split = cells[:tgt] + [[v], [u for u in cell if u != v]] + cells[tgt + 1:]
-            rec(_refine(rows, split))
+            rec(_refine(rows, split, [1 << v, _mask(cell) ^ 1 << v]))
 
     rec(cells)
     return best[0], best[1]
@@ -128,11 +154,12 @@ def _canonical_search(rows):
 
 def _relabelled(rows, lab) -> Graph:
     """The unlabelled graph with adjacency rows, relabelled so that lab[p]
-    sits at position p."""
+    sits at position p.  rows come from a valid graph, so the relabelled
+    rows are valid too and are not checked again."""
     pos = [0] * len(lab)
     for p, v in enumerate(lab):
         pos[v] = p
-    return Graph(len(lab), tuple(sum(1 << pos[u] for u in _bits(rows[v])) for v in lab))
+    return Graph._unchecked(len(lab), tuple(sum(1 << pos[u] for u in _bits(rows[v])) for v in lab))
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -142,7 +169,7 @@ def canonical_form(g: Graph) -> bytes:
         raise ValueError(f"canonical form supported only up to n = {CANONICAL_MAX_N}")
     if g.n == 0:
         return b"\x00"
-    code, _ = _canonical_search(g.rows)
+    code, _ = _canonical_search(g.rows, _stable_partition(g.rows))
     return code
 
 
@@ -152,7 +179,7 @@ def canonical_graph(g: Graph) -> Graph:
         return g
     if g.n > CANONICAL_MAX_N:
         raise ValueError(f"canonical form supported only up to n = {CANONICAL_MAX_N}")
-    _, lab = _canonical_search(g.rows)
+    _, lab = _canonical_search(g.rows, _stable_partition(g.rows))
     return _relabelled(g.rows, lab)
 
 
@@ -166,8 +193,17 @@ _ENUM_CACHE: dict[int, list[Graph]] = {}
 def _augmentation_masks(g: Graph):
     """Neighbourhood masks for a vertex added to g that has minimum degree
     in the child, one mask per orbit of the twin swaps of g: inside each
-    twin class the mask's bits form a prefix of the class."""
+    twin class the mask's bits form a prefix of the class.
+
+    With delta the minimum degree of g, a mask of k bits qualifies iff
+    k <= delta, or k = delta + 1 and it covers every vertex of degree
+    delta."""
     degs = g.degrees()
+    delta = min(degs)
+    low = 0
+    for v, d in enumerate(degs):
+        if d == delta:
+            low |= 1 << v
     prefixes = []
     for cls in _twin_classes(g.rows, range(g.n)):
         acc = 0
@@ -179,7 +215,7 @@ def _augmentation_masks(g: Graph):
     for parts in itertools.product(*prefixes):
         mask = sum(parts)
         k = mask.bit_count()
-        if all(d + (mask >> v & 1) >= k for v, d in enumerate(degs)):
+        if k <= delta or (k == delta + 1 and mask & low == low):
             yield mask
 
 
@@ -187,11 +223,17 @@ def enumerate_graphs(n: int, connected_only: bool = False):
     """All graphs of order n up to isomorphism (internal enumerator,
     n <= 8), in canonical-form order.
 
-    Each graph of order n - 1 is extended by one vertex.  Every graph has
-    a vertex of minimum degree whose deletion leaves a graph of order
-    n - 1, so only masks that give the new vertex minimum degree in the
-    child are tried, and of those one per twin-swap orbit of the parent
-    (see _augmentation_masks).  Children are deduplicated by canonical
+    Each graph of order n - 1 is extended by one vertex.  Only masks that
+    give the new vertex n - 1 minimum degree in the child are tried, and
+    of those one per twin-swap orbit of the parent (see
+    _augmentation_masks).  A child is kept only when n - 1 lies in the
+    first cell of its stable partition (_stable_partition).  That cell is
+    a nonempty isomorphism-invariant set of minimum-degree vertices, so
+    every graph G of order n is reached: deleting any vertex v of its
+    first cell leaves a graph isomorphic to a parent, and the child that
+    restores v (up to a twin swap of the parent) maps v to n - 1 under an
+    isomorphism, which carries the first cell to the first cell.  Kept
+    children are searched from that partition, deduplicated by canonical
     code and stored canonically labelled."""
     if not 1 <= n <= ENUMERATE_MAX_N:
         raise ValueError(f"internal enumerator handles 1 <= n <= {ENUMERATE_MAX_N}")
@@ -203,9 +245,11 @@ def enumerate_graphs(n: int, connected_only: bool = False):
             for g in enumerate_graphs(n - 1):
                 for mask in _augmentation_masks(g):
                     rows = tuple(r | (mask >> v & 1) << (n - 1) for v, r in enumerate(g.rows)) + (mask,)
-                    code, lab = _canonical_search(rows)
-                    if code not in seen:
-                        seen[code] = _relabelled(rows, lab)
+                    cells = _stable_partition(rows)
+                    if n - 1 in cells[0]:
+                        code, lab = _canonical_search(rows, cells)
+                        if code not in seen:
+                            seen[code] = _relabelled(rows, lab)
             _ENUM_CACHE[n] = [seen[c] for c in sorted(seen)]
     out = _ENUM_CACHE[n]
     if connected_only:
@@ -274,7 +318,8 @@ def _select_clause(p: FamilyParams, alpha: float):
 def predict(a: int, b: int, n: int, alpha: float) -> ExtremalPrediction:
     """Pick the extremal construction clause for (a, b, n, alpha) and
     build its graph; the graph is re-verified minor-free before being
-    reported."""
+    reported.  Raises RuntimeError (BudgetExhausted) when that check runs
+    out of budget."""
     check_alpha(alpha)
     p = FamilyParams(a, b, n)
     clause, caveat = _select_clause(p, alpha)
@@ -322,12 +367,13 @@ def parse_constraint(tag: str):
 
 
 def _check_constraint(g: Graph, name: str, args, budget: int) -> bool:
-    if name == "star-minor-free":
-        return star_minor_free(g, args[0])
+    if name == "star-minor-free" or (name == "kab-minor-free" and args[0] == 1):
+        try:
+            return star_minor_free(g, args[-1], budget)
+        except BudgetExhausted:
+            raise BudgetAbort(g.to_graph6()) from None
     if name == "kab-minor-free":
         a, b = args
-        if a == 1:
-            return star_minor_free(g, b)
         from .graphs import complete_bipartite
 
         w = has_minor(g, complete_bipartite(a, b), budget)

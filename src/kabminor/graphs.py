@@ -69,6 +69,16 @@ class Graph:
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("label count must equal vertex count")
 
+    @classmethod
+    def _unchecked(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """An unlabelled graph on rows that are known to be valid (derived
+        from a validated graph), built without the checks of __init__."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        object.__setattr__(g, "labels", None)
+        return g
+
     # -- basic queries -------------------------------------------------
 
     @property

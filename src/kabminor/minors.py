@@ -12,14 +12,13 @@ whose rows are equal once their mutual bit is cleared, as in one side of
 K_{r,s}) may swap branch sets, so each twin's branch set must have a
 larger lowest vertex than that of the twin placed before it.  This
 searches one model out of every r!*s! relabellings and leaves every
-verdict unchanged.  star_minor_free is the one path without a budget.
+verdict unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 from .graphs import Graph, _bits, _twin_classes, complete_bipartite
@@ -31,8 +30,8 @@ VERDICT_FREE = "free"
 VERDICT_BUDGET = "budget"
 
 
-class _BudgetExceeded(Exception):
-    pass
+class BudgetExhausted(RuntimeError):
+    """An expansion budget ran out before a search could decide."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def _grow(rows, s: int, cand: int, allowed: int, max_size: int):
 
 def _minor_search(g: Graph, h: Graph, budget: int):
     """Backtracking branch-set assignment; returns (found, branch_masks,
-    expansions) or raises _BudgetExceeded.
+    expansions) or raises BudgetExhausted.
 
     H-vertices are placed in order of decreasing degree, each drawing its
     branch set from the connected sets of the still-free vertices.  Twins
@@ -147,7 +146,7 @@ def _minor_search(g: Graph, h: Graph, budget: int):
         for s in _connected_subsets(g.rows, allowed, slack + 1):
             counter[0] += 1
             if counter[0] > budget:
-                raise _BudgetExceeded
+                raise BudgetExhausted(f"expansion budget {budget} exhausted")
             ok = True
             for pm in placed_masks:
                 if not any(g.rows[x] & pm for x in _bits(s)):
@@ -170,19 +169,19 @@ def _minor_search(g: Graph, h: Graph, budget: int):
     return True, out, counter[0]
 
 
-def _star_boundary(g: Graph, b: int, budget: float):
+def _star_boundary(g: Graph, b: int, budget: int):
     """The boundary criterion for K_{1,b}: a star minor with b leaves
     exists iff some connected set S has at least b neighbours outside S.
     Returns (S, N(S) minus S, expansions) for the first such S found, or
     (0, 0, expansions); one expansion per connected set examined, and
-    raises _BudgetExceeded past the budget.  Singletons go first, since a
+    raises BudgetExhausted past the budget.  Singletons go first, since a
     vertex of degree >= b settles it; larger sets need |S| <= n - b."""
     larger = (s for s in _connected_subsets(g.rows, (1 << g.n) - 1, g.n - b) if s & (s - 1))
     count = 0
     for s in itertools.chain((1 << v for v in range(g.n)), larger):
         count += 1
         if count > budget:
-            raise _BudgetExceeded
+            raise BudgetExhausted(f"expansion budget {budget} exhausted")
         nb = 0
         for v in _bits(s):
             nb |= g.rows[v]
@@ -237,7 +236,7 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
     search = _star_search if _is_star(h) else _minor_search
     try:
         found, masks, used = search(g, h, budget)
-    except _BudgetExceeded:
+    except BudgetExhausted:
         return MinorWitness(VERDICT_BUDGET, None, budget)
     if not found:
         return MinorWitness(VERDICT_FREE, None, used)
@@ -248,12 +247,12 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
     return w
 
 
-def star_minor_free(g: Graph, b: int) -> bool:
-    """K_{1,b}-minor freeness via the boundary criterion (_star_boundary),
-    without an expansion budget."""
+def star_minor_free(g: Graph, b: int, budget: int = DEFAULT_BUDGET) -> bool:
+    """K_{1,b}-minor freeness via the boundary criterion (_star_boundary);
+    raises BudgetExhausted when the expansion budget runs out first."""
     if b < 1:
         raise ValueError("need b >= 1")
-    s, _, _ = _star_boundary(g, b, math.inf)
+    s, _, _ = _star_boundary(g, b, budget)
     return not s
 
 
@@ -334,5 +333,5 @@ def minor_free_given_apex(g: Graph, S, a: int, b: int, budget: int = DEFAULT_BUD
         raise ValueError("S has repeated vertices")
     report = ab_property(g.induced(rest), a, b, budget)
     if VERDICT_BUDGET in report.verdicts:
-        raise RuntimeError("budget exhausted while deciding the reduced property")
+        raise BudgetExhausted("budget exhausted while deciding the reduced property")
     return report.overall

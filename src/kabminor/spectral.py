@@ -31,11 +31,11 @@ def check_alpha(alpha: float) -> float:
 def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     alpha = check_alpha(alpha)
     n = g.n
-    m = np.zeros((n, n))
-    for v in range(n):
-        m[v, v] = alpha * g.degree(v)
-        for u in _bits(g.rows[v]):
-            m[v, u] = 1.0 - alpha
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows), dtype=np.uint8)
+    adj = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    m = (1.0 - alpha) * adj
+    m[np.diag_indices(n)] = alpha * np.array(g.degrees(), dtype=float)
     return m
 
 
@@ -84,7 +84,7 @@ def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
     if len(comps) == 1:
         lam, x, resid = _solve_component(g, alpha)
         x = x / np.linalg.norm(x)
-        return SpectralResult(lam, tuple(float(t) for t in x), resid, True)
+        return SpectralResult(lam, tuple(x.tolist()), resid, True)
     best = None
     for mask in comps:
         verts = list(_bits(mask))
@@ -95,7 +95,7 @@ def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
     full = np.zeros(g.n)
     full[verts] = x
     full /= np.linalg.norm(full)
-    return SpectralResult(lam, tuple(float(t) for t in full), resid, False)
+    return SpectralResult(lam, tuple(full.tolist()), resid, False)
 
 
 def eigen_equation_residual(g: Graph, alpha: float, res: SpectralResult) -> float:

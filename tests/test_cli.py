@@ -169,14 +169,17 @@ def test_search_without_survivors_is_usage_error(capsys, tmp_path):
 
 
 def test_search_budget_abort(capsys, tmp_path):
-    from kabminor.graphs import join, complete as K
+    from kabminor.graphs import join, complete as K, petersen_complement
 
-    f = tmp_path / "c.g6"
-    f.write_text(join(K(2), cycle(8)).to_graph6() + "\n")
-    code, out, _ = run(capsys, "search", "--constraint", "kab-minor-free:3,4",
-                       "--corpus", str(f), "--budget", "3", "--format", "json")
-    assert code == EXIT_BUDGET
-    assert json.loads(out)["error"] == "budget"
+    for g, constraint in ((join(K(2), cycle(8)), "kab-minor-free:3,4"),
+                          (petersen_complement(), "star-minor-free:8")):
+        f = tmp_path / "c.g6"
+        f.write_text(g.to_graph6() + "\n")
+        code, out, _ = run(capsys, "search", "--constraint", constraint,
+                           "--corpus", str(f), "--budget", "3", "--format", "json")
+        assert code == EXIT_BUDGET
+        data = json.loads(out)
+        assert data["error"] == "budget" and data["candidate"] == g.to_graph6()
 
 
 def test_search_usage_errors(capsys):

@@ -1,5 +1,7 @@
 """Canonical forms, enumeration, prediction, search, comparison."""
 
+import functools
+import hashlib
 import itertools
 import json
 
@@ -7,10 +9,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from kabminor import extremal, minors
 from kabminor.extremal import (
     BudgetAbort,
     CONNECTED_GRAPH_COUNTS,
     GRAPH_COUNTS,
+    _refine,
+    _stable_partition,
     canonical_form,
     canonical_graph,
     compare_candidates,
@@ -34,6 +39,7 @@ from kabminor.graphs import (
     from_edges,
     from_graph6,
     Graph,
+    _twin_classes,
     join,
     path_graph,
     petersen_complement,
@@ -124,6 +130,57 @@ def test_enumeration_order_eight_is_canonical():
     forms = {canonical_form(g) for g in corpus}
     assert len(forms) == len(corpus)
     assert all(canonical_graph(g) == g for g in corpus)
+
+
+def test_enumeration_digest_matches_reference():
+    # every graph of order 1..8 as graph6, in enumeration order: pins the
+    # canonical labellings and their order, not only the classes
+    text = "\n".join(g.to_graph6() for n in range(1, 9) for g in enumerate_graphs(n))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "563803813ceb64f2aa37199de9edcc1b0964e5f39fe227f0b2a75ec2fb20cc9a"
+
+
+def _refine_all_cells(rows, cells):
+    """Reference colour refinement: each round counts every vertex's
+    neighbours in every cell, and splits cells by those tuples."""
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        new_cells = []
+        for c in cells:
+            groups = {}
+            for v in c:
+                groups.setdefault(tuple((rows[v] & m).bit_count() for m in masks), []).append(v)
+            new_cells.extend(groups[sig] for sig in sorted(groups))
+        if len(new_cells) == len(cells):
+            return new_cells
+        cells = new_cells
+
+
+def test_incremental_refinement_matches_all_cells():
+    def walk(rows, cells):
+        # individualise every vertex of the first non-singleton cell, and
+        # descend where the canonical search does
+        tgt = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if tgt is None:
+            return
+        cell = cells[tgt]
+        refined = {}
+        for v in cell:
+            split = cells[:tgt] + [[v], [u for u in cell if u != v]] + cells[tgt + 1:]
+            refined[v] = _refine(rows, split, [1 << v, sum(1 << u for u in cell) ^ 1 << v])
+            assert refined[v] == _refine_all_cells(rows, split)
+        for cls in _twin_classes(rows, cell):
+            walk(rows, refined[cls[0]])
+
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            for rows in (g.rows, g.relabel([n - 1 - v for v in range(n)]).rows):
+                by_deg = {}
+                for v, r in enumerate(rows):
+                    by_deg.setdefault(r.bit_count(), []).append(v)
+                cells = _stable_partition(rows)
+                assert cells == _refine_all_cells(rows, [by_deg[d] for d in sorted(by_deg)])
+                walk(rows, cells)
 
 
 def test_enumeration_no_isomorphic_duplicates():
@@ -259,6 +316,24 @@ def test_search_budget_abort():
         with pytest.raises(BudgetAbort) as exc:
             search_max([complete(3), aborting], "kab-minor-free:3,4", 0.1, budget=3, jobs=jobs)
         assert exc.value.graph6 == aborting.to_graph6()
+
+
+def test_star_constraints_are_budgeted():
+    # the Petersen complement has ten singletons of degree 6 < 8 to
+    # examine before any larger set
+    g = petersen_complement()
+    for constraint in ("star-minor-free:8", "kab-minor-free:1,8"):
+        with pytest.raises(BudgetAbort) as exc:
+            search_max([complete(3), g], constraint, 0.5, budget=5)
+        assert exc.value.graph6 == g.to_graph6()
+        assert search_max([complete(3), g], constraint, 0.5).survivors == 2
+
+
+def test_predict_star_budget_raises(monkeypatch):
+    monkeypatch.setattr(extremal, "star_minor_free",
+                        functools.partial(minors.star_minor_free, budget=5))
+    with pytest.raises(RuntimeError, match="budget"):
+        predict(1, 5, 12, 0.5)
 
 
 def test_compare_candidates():

@@ -25,6 +25,7 @@ from kabminor.minors import (
     VERDICT_BUDGET,
     VERDICT_CONTAINS,
     VERDICT_FREE,
+    BudgetExhausted,
     MinorWitness,
     _minor_search,
     ab_property,
@@ -229,6 +230,15 @@ def test_petersen_complement_property():
     # the cheap pair of the full order-10 check; the full (3,8) sweep
     # runs in the acceptance suite
     assert star_minor_free(petersen_complement(), 8)
+
+
+def test_star_minor_free_budget():
+    # star_minor_free spends expansions exactly as has_minor's star route
+    g = petersen_complement()
+    spent = has_minor(g, complete_bipartite(1, 8)).expansions
+    assert star_minor_free(g, 8, budget=spent)
+    with pytest.raises(BudgetExhausted):
+        star_minor_free(g, 8, budget=spent - 1)
 
 
 def test_witness_json_roundtrip():

@@ -83,6 +83,9 @@ def test_edge_lemmas_budget_inconclusive():
     # that must surface as inconclusive rather than pass
     assert any(o.status == STATUS_INCONCLUSIVE for o in outs)
     assert not any(o.status == STATUS_FAIL for o in outs)
+    star = next(o for o in outs if o.check_id == "edge-bound-star-minor-free")
+    assert star.status == STATUS_INCONCLUSIVE
+    assert "budget exhausted on part of the sweep" in star.notes
 
 
 def test_polynomial_identities_pass():
