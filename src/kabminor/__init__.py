@@ -30,7 +30,6 @@ from .graphs import (  # noqa: F401
 from .spectral import (  # noqa: F401
     SpectralResult,
     alpha_matrix,
-    char_poly,
     quotient,
     quotient_radius_check,
     spectral_radius,

@@ -313,6 +313,8 @@ def cmd_verify(args) -> int:
         bs = range(int(lo), int(hi or lo) + 1)
         if not bs:
             raise SpecError(f"empty --b range {args.b!r}")
+        if bs[0] < 3:
+            raise SpecError(f"--b range {args.b!r} starts below 3")
         outcomes = [vf.check_lemma_updown(bs)]
     else:
         outcomes = vf.run_suites(names)

@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import multiprocessing as mp
+import os
 from dataclasses import dataclass
 
 from . import minors
@@ -421,10 +422,12 @@ class SearchReport:
 
 
 def _pmap(fn, items, jobs: int):
-    """[fn(x) for x in items], over a fork pool of jobs workers when
-    jobs > 1; results are in item order either way."""
-    if jobs > 1 and len(items) > 1:
-        with mp.get_context("fork").Pool(jobs) as pool:
+    """[fn(x) for x in items], over a fork pool when more than one worker
+    is useful: jobs, capped by the item count and the CPU count.  Results
+    are in item order either way."""
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with mp.get_context("fork").Pool(workers) as pool:
             return pool.map(fn, items)
     return [fn(x) for x in items]
 

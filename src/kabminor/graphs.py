@@ -9,7 +9,6 @@ as small ones.  All mutating operations return new graphs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -198,33 +197,6 @@ class Graph:
         rows[v] &= ~(1 << u)
         return Graph(self.n, tuple(rows), self.labels)
 
-    def delete_vertex(self, v: int) -> "Graph":
-        self._check_vertex(v)
-        return self.induced([u for u in range(self.n) if u != v])
-
-    def contract_edge(self, u: int, v: int) -> "Graph":
-        """Merge u and v (which must be adjacent) into one vertex; parallel
-        edges and the loop disappear."""
-        if not self.has_edge(u, v):
-            raise ValueError(f"cannot contract non-edge ({u},{v})")
-        u, v = min(u, v), max(u, v)
-        keep = [w for w in range(self.n) if w != v]
-        pos = {w: i for i, w in enumerate(keep)}
-        rows = [0] * len(keep)
-        merged = (self.rows[u] | self.rows[v]) & ~(1 << u) & ~(1 << v)
-        for w in keep:
-            nb = self.rows[w] if w != u else merged
-            for x in _bits(nb):
-                if x == v:
-                    x = u
-                if x != w:
-                    rows[pos[w]] |= 1 << pos[x]
-        for i in range(len(keep)):
-            for j in _bits(rows[i]):
-                rows[j] |= 1 << i
-        labels = tuple(self.labels[w] for w in keep) if self.labels else None
-        return Graph(len(keep), tuple(rows), labels)
-
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         rows = tuple((full & ~r & ~(1 << v)) for v, r in enumerate(self.rows))
@@ -353,6 +325,8 @@ def star(leaves: int) -> Graph:
 
 
 def complete_bipartite(r: int, s: int) -> Graph:
+    if r < 0 or s < 0:
+        raise ValueError("sides must be >= 0")
     return from_edges(r + s, [(i, r + j) for i in range(r) for j in range(s)])
 
 

@@ -18,7 +18,6 @@ verdict unchanged.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .graphs import Graph, _bits, _twin_classes, complete_bipartite
@@ -39,17 +38,6 @@ class MinorWitness:
     verdict: str  # contains | free | budget
     branch_sets: tuple[tuple[int, ...], ...] | None  # indexed by H-vertex
     expansions: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "verdict": self.verdict,
-                "branch_sets": [list(s) for s in self.branch_sets]
-                if self.branch_sets is not None
-                else None,
-                "expansions": self.expansions,
-            }
-        )
 
 
 def validate_witness(g: Graph, h: Graph, witness: MinorWitness) -> bool:
@@ -264,18 +252,6 @@ class AbPropertyReport:
     checked_pairs: tuple[tuple[int, int], ...]
     verdicts: tuple[str, ...]  # "free" | "contains" | "budget" per pair
     overall: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a,
-                "b": self.b,
-                "omega": self.omega,
-                "pairs": [list(p) for p in self.checked_pairs],
-                "verdicts": list(self.verdicts),
-                "overall": self.overall,
-            }
-        )
 
 
 def ab_property(g: Graph, a: int, b: int, budget: int = DEFAULT_BUDGET) -> AbPropertyReport:

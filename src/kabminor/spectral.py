@@ -1,7 +1,6 @@
 """Alpha-weighted adjacency spectra: matrix assembly, spectral radius and
-Perron vectors, equitable-partition quotients, characteristic polynomials,
-and the closed-form cubic/quadratic evaluators used by the verification
-suites.
+Perron vectors, equitable-partition quotients, and the closed-form
+cubic/quadratic evaluators used by the verification suites.
 
 The alpha matrix of a graph is M = alpha*D + (1-alpha)*A with D the degree
 diagonal and A the adjacency matrix, alpha in [0, 1).  alpha = 0 gives the
@@ -165,40 +164,11 @@ def quotient_radius_check(g: Graph, alpha: float, partition):
     return rho_q, rho_full, abs(rho_q - rho_full)
 
 
-def subdivided_clique_partition(b: int, k: int = 1):
-    """The natural equitable partition of a once-subdivided clique built
-    by subdivided_clique(b, 1): subdivision vertex, the two path
-    endpoints, the rest of the clique."""
-    if k != 1:
-        raise ValueError("partition defined for the single-subdivision case")
+def subdivided_clique_partition(b: int):
+    """The natural equitable partition of the once-subdivided clique
+    subdivided_clique(b, 1): subdivision vertex, the two path endpoints,
+    the rest of the clique."""
     return [(b,), (0, 1), tuple(range(2, b))]
-
-
-# ---------------------------------------------------------------------
-# characteristic polynomial (division-free Faddeev–LeVerrier)
-# ---------------------------------------------------------------------
-
-def char_poly(m: np.ndarray) -> list[float]:
-    """Monic coefficients [1, c_{n-1}, ..., c_0] of det(xI - M)."""
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("matrix must be square")
-    coeffs = [1.0]
-    mk = m.copy()
-    for k in range(1, n + 1):
-        c = -float(np.trace(mk)) / k
-        coeffs.append(c)
-        if k < n:
-            mk = m @ (mk + c * np.eye(n))
-    return coeffs
-
-
-def poly_eval(coeffs, x: float) -> float:
-    out = 0.0
-    for c in coeffs:
-        out = out * x + c
-    return out
 
 
 # ---------------------------------------------------------------------
@@ -302,50 +272,38 @@ def xy_identity_check(g: Graph, h: Graph, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class PerronStats:
-    S: tuple[int, ...]
-    scope: tuple[int, ...]
-    lam: float
-    X_s: float
     X_M: float
     X_m: float
-    c: float
-    lower_ok: bool        # X_m >= (1-a) X_s / (lam - a|S|)
+    lower_ok: bool        # X_m >= (1-a) X_s / (lam - a|S|), up to the slack
     lower_margin: float
     upper_ok: bool        # X_M < (1-a) X_s / (lam - a|S| - c)
     upper_margin: float
 
 
-def perron_stats(g: Graph, alpha: float, S, scope=None, c: float | None = None) -> PerronStats:
-    """Perron-coordinate extremes over `scope` (default: everything off
-    the dominating clique S) together with the two standard bounds; c
-    must exceed the max degree of the scope's induced subgraph (default:
-    that max degree plus one)."""
+def perron_stats(g: Graph, alpha: float, S) -> PerronStats:
+    """Perron-coordinate extremes X_M, X_m over the vertices off the
+    dominating set S, together with the two standard bounds, where X_s is
+    the coordinate sum over S and c is the max degree of the graph induced
+    off S plus one."""
     S = tuple(sorted(S))
     for v in S:
         if g.degree(v) != g.n - 1:
             raise ValueError(f"vertex {v} is not dominating")
-    for u in S:
-        for v in S:
-            if u < v and not g.has_edge(u, v):
-                raise ValueError("S is not a clique")
     rest = [v for v in range(g.n) if v not in S]
-    scope = tuple(sorted(scope)) if scope is not None else tuple(rest)
-    if set(scope) & set(S):
-        raise ValueError("scope must avoid S")
-    if not scope:
-        raise ValueError("empty scope")
+    if not rest:
+        raise ValueError("no vertex off S")
     res = spectral_radius(g, alpha)
     x = res.vector
-    sub = g.induced(rest)
-    if c is None:
-        c = sub.max_degree() + 1.0
+    c = g.induced(rest).max_degree() + 1.0
     xs = sum(x[v] for v in S)
-    xm = min(x[v] for v in scope)
-    xM = max(x[v] for v in scope)
+    xm = min(x[v] for v in rest)
+    xM = max(x[v] for v in rest)
     lo_den = res.lam - alpha * len(S)
     hi_den = res.lam - alpha * len(S) - c
     lower_bound = (1 - alpha) * xs / lo_den if lo_den > 0 else -math.inf
-    lower_margin = xm - lower_bound
+    # equality is attained by vertices adjacent only to S, so the lower
+    # bound allows slack at the eigensolver's residual scale
+    lower_margin = xm - (lower_bound - 1e-9)
     if hi_den > 0:
         upper_bound = (1 - alpha) * xs / hi_den
         upper_margin = upper_bound - xM
@@ -354,12 +312,7 @@ def perron_stats(g: Graph, alpha: float, S, scope=None, c: float | None = None) 
         # the bound degenerates when lam <= alpha|S| + c; report vacuous
         upper_margin = math.inf
         upper_ok = True
-    return PerronStats(
-        S, scope, res.lam, xs, xM, xm, float(c),
-        # equality is attained by scope vertices adjacent only to S, so
-        # allow slack at the eigensolver's residual scale
-        xm >= lower_bound - 1e-9, lower_margin, upper_ok, upper_margin,
-    )
+    return PerronStats(xM, xm, lower_margin >= 0, lower_margin, upper_ok, upper_margin)
 
 
 # ---------------------------------------------------------------------

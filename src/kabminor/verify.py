@@ -8,7 +8,10 @@ Suites (runnable from the CLI as `verify <suite>`):
   mm-bounds               Perron-coordinate bounds around dominating cliques
   degree-ordering         path-end coordinate ordering in the F-block family
   edge-lemmas             exhaustive edge bounds and the complement criterion
-  polynomial-identities   the cubic/quadratic closed-form identities
+  polynomial-identities   the cubic/quadratic closed-form identities, and
+                          quotient-radius-equality, quotient-cubic-identity
+                          and double-eigenvector-identity on subdivided
+                          cliques
   theorem-small-n         exhaustive maximizer agreement at small orders
 """
 
@@ -16,14 +19,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import extremal as ex
 from .graphs import (
     CLAUSE_STAR_FOREST,
     CLAUSE_SUBDIVIDED,
-    FamilyParams,
-    Graph,
+    clique_with_pendants,
     complete,
     disjoint_union,
     f_graph,
@@ -48,8 +52,12 @@ from .spectral import (
     g_eval,
     h_eval,
     perron_stats,
+    quotient,
+    quotient_radius_check,
     spectral_radius,
+    subdivided_clique_partition,
     threshold,
+    xy_identity_check,
 )
 
 STATUS_PASS = "pass"
@@ -141,7 +149,7 @@ def _mm_instances():
     return out
 
 
-def check_mm_bounds(alphas=(0.0, 0.3, 0.6)) -> CheckOutcome:
+def check_mm_bounds() -> CheckOutcome:
     """The two Perron-coordinate bounds hold exactly; the large-order
     consequences (constant-ratio domination, degree-monotone coordinates)
     are reported, with violations marked inconclusive rather than
@@ -150,6 +158,7 @@ def check_mm_bounds(alphas=(0.0, 0.3, 0.6)) -> CheckOutcome:
     notes = []
     inconclusive = False
     worst = math.inf
+    alphas = (0.0, 0.3, 0.6)
     for name, g, S in _mm_instances():
         rest = [v for v in range(g.n) if v not in S]
         sub = g.induced(rest)
@@ -227,15 +236,13 @@ def check_degree_ordering_claim(cases=((2, 6, 1, 2, 3), (2, 6, 1, 3, 2), (3, 7, 
 # exhaustive edge bounds
 # ---------------------------------------------------------------------
 
-def check_edge_lemmas(b: int = 4, a: int = 2, n_range=(6, 7),
-                      budget: int = DEFAULT_BUDGET) -> list[CheckOutcome]:
-    outcomes = [
-        _check_edge_bound_star(b, n_range, budget),
+def check_edge_lemmas(budget: int = DEFAULT_BUDGET) -> list[CheckOutcome]:
+    return [
+        _check_edge_bound_star(4, (6, 7), budget),
         _check_edge_max_property(2, 4, budget),
         _check_edge_max_property(2, 5, budget),
         _check_criterion_agreement(2, 5, budget),
     ]
-    return outcomes
 
 
 def _check_edge_bound_star(b: int, n_range, budget: int) -> CheckOutcome:
@@ -335,21 +342,28 @@ def _check_criterion_agreement(a: int, b: int, budget: int) -> CheckOutcome:
 # polynomial identities
 # ---------------------------------------------------------------------
 
-def check_polynomial_identities(b_range=range(3, 13), alphas=None) -> list[CheckOutcome]:
+#: b values of the identities swept over alpha_grid(b)
+_IDENTITY_BS = range(3, 13)
+
+
+def check_polynomial_identities() -> list[CheckOutcome]:
     return [
-        _check_cubic_threshold(b_range, alphas),
-        _check_quadratic_difference(b_range, alphas),
+        _check_cubic_threshold(),
+        _check_quadratic_difference(),
         _check_cubic_at_radius(),
+        _check_quotient_radius(),
+        _check_quotient_cubic(),
+        _check_double_eigenvector(),
     ]
 
 
-def _check_cubic_threshold(b_range, alphas) -> CheckOutcome:
+def _check_cubic_threshold() -> CheckOutcome:
     """Direct evaluation of the two cubics at the threshold point matches
     their closed forms, and both values are negative."""
     failures = []
     worst = math.inf
-    for b in b_range:
-        for alpha in alphas if alphas is not None else alpha_grid(b):
+    for b in _IDENTITY_BS:
+        for alpha in alpha_grid(b):
             x = threshold(b, alpha)
             for f, closed in ((f1_eval, f1_threshold_closed), (f2_eval, f2_threshold_closed)):
                 direct = f(b, alpha, x)
@@ -360,22 +374,22 @@ def _check_cubic_threshold(b_range, alphas) -> CheckOutcome:
                     failures.append(f"path-mismatch:b={b},alpha={alpha}")
                 if direct >= 0:
                     failures.append(f"nonnegative:b={b},alpha={alpha}")
-    return _outcome("cubic-threshold-identities", {"b": list(b_range)}, failures, worst)
+    return _outcome("cubic-threshold-identities", {"b": list(_IDENTITY_BS)}, failures, worst)
 
 
-def _check_quadratic_difference(b_range, alphas) -> CheckOutcome:
+def _check_quadratic_difference() -> CheckOutcome:
     """g(b-2) - g(2) equals (b-4)(alpha*b - 1)^2."""
     failures = []
     worst = math.inf
-    for b in b_range:
-        for alpha in alphas if alphas is not None else alpha_grid(b):
+    for b in _IDENTITY_BS:
+        for alpha in alpha_grid(b):
             lhs = g_eval(b, alpha, b - 2) - g_eval(b, alpha, 2)
             rhs = (b - 4) * (alpha * b - 1) ** 2
             rel = abs(lhs - rhs) / max(1.0, abs(rhs))
             worst = min(worst, 1e-10 - rel)
             if rel > 1e-10:
                 failures.append(f"b={b},alpha={alpha}")
-    return _outcome("quadratic-difference-identity", {"b": list(b_range)}, failures, worst)
+    return _outcome("quadratic-difference-identity", {"b": list(_IDENTITY_BS)}, failures, worst)
 
 
 def _check_cubic_at_radius(bs=(4, 6), alphas=(0.2, 0.5, 0.8)) -> CheckOutcome:
@@ -396,6 +410,59 @@ def _check_cubic_at_radius(bs=(4, 6), alphas=(0.2, 0.5, 0.8)) -> CheckOutcome:
                     failures.append(g.to_graph6())
     return _outcome("cubic-at-radius-identity", {"b": list(bs), "u2": "2 and b-2"},
                     failures, worst)
+
+
+def _check_quotient_radius() -> CheckOutcome:
+    """The equitable quotient of the once-subdivided clique has the same
+    spectral radius as the graph."""
+    failures = []
+    worst = math.inf
+    for b in _IDENTITY_BS:
+        g = subdivided_clique(b, 1)
+        for alpha in alpha_grid(b):
+            _, lam, diff = quotient_radius_check(g, alpha, subdivided_clique_partition(b))
+            rel = diff / max(1.0, lam)
+            worst = min(worst, 1e-8 - rel)
+            if rel > 1e-8:
+                failures.append(f"b={b},alpha={alpha}")
+    return _outcome("quotient-radius-equality", {"b": list(_IDENTITY_BS)}, failures, worst)
+
+
+def _check_quotient_cubic() -> CheckOutcome:
+    """The characteristic polynomial of that quotient is the cubic f1,
+    compared at four points (0, 1, b-1 and the spectral radius), which fix
+    a cubic."""
+    failures = []
+    worst = math.inf
+    for b in _IDENTITY_BS:
+        g = subdivided_clique(b, 1)
+        for alpha in alpha_grid(b):
+            coeffs = np.poly(quotient(g, alpha, subdivided_clique_partition(b)).as_array())
+            for x in (0.0, 1.0, b - 1.0, spectral_radius(g, alpha).lam):
+                ref = f1_eval(b, alpha, x)
+                rel = abs(float(np.polyval(coeffs, x)) - ref) / max(1.0, abs(ref))
+                worst = min(worst, 1e-8 - rel)
+                if rel > 1e-8:
+                    failures.append(f"b={b},alpha={alpha},x={x}")
+    return _outcome("quotient-cubic-identity", {"b": list(_IDENTITY_BS)}, failures, worst)
+
+
+def _check_double_eigenvector() -> CheckOutcome:
+    """x^T y (lambda(H) - lambda(G)) = x^T (M(H) - M(G)) y for the Perron
+    vectors x of G = subdivided_clique(b, 2) and y of H =
+    clique_with_pendants(b), both connected of order b+2.  Unit vectors
+    and a radius gap below 1 keep both sides below 1, so the residual is
+    the relative error."""
+    failures = []
+    worst = math.inf
+    for b in _IDENTITY_BS:
+        g, h = subdivided_clique(b, 2), clique_with_pendants(b)
+        for alpha in alpha_grid(b):
+            rel = xy_identity_check(g, h, alpha)
+            worst = min(worst, 1e-8 - rel)
+            if rel > 1e-8:
+                failures.append(f"b={b},alpha={alpha}")
+    return _outcome("double-eigenvector-identity", {"b": list(_IDENTITY_BS)}, failures, worst)
 
 
 # ---------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_acceptance_5_edge_lemmas():
     from kabminor.verify import check_edge_lemmas
 
     t0 = time.perf_counter()
-    outs = check_edge_lemmas(b=4, a=2, n_range=(6, 7))
+    outs = check_edge_lemmas()
     ok = all(o.status == "pass" for o in outs)
     _report(5, ok, t0, 120,
             "; ".join(f"{o.check_id}={o.status}" for o in outs))

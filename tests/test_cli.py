@@ -211,6 +211,7 @@ def test_usage_exit_codes(capsys):
     assert run(capsys, "construct", "nope:1")[0] == EXIT_USAGE
     assert run(capsys, "lambda", "!!bad!!")[0] == EXIT_USAGE
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
+    assert run(capsys, "minor", "petersen", "K_{-1,3}", "--format", "json")[0] == EXIT_USAGE
     assert run(capsys, "--version")[0] == 0
 
 
@@ -234,6 +235,10 @@ def test_verify_empty_b_range_is_usage_error(capsys):
         code, out, err = run(capsys, "verify", "lemma-updown", "--b", rng,
                              "--format", "json")
         assert code == EXIT_USAGE and out == "" and "empty --b range" in err
+    for rng in ("1..3", "2..4"):
+        code, out, err = run(capsys, "verify", "lemma-updown", "--b", rng,
+                             "--format", "json")
+        assert code == EXIT_USAGE and out == "" and "below 3" in err
 
 
 def test_jobs_below_one_is_usage_error(capsys):

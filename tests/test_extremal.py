@@ -4,6 +4,8 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -357,6 +359,36 @@ def test_compare_candidates_jobs_invariant():
         assert json.dumps(compare_candidates(cands, 0.4, jobs=jobs), sort_keys=True) == r1
     decoded = [(cid, from_graph6(g.to_graph6())) for cid, g in cands]
     assert json.dumps(compare_candidates(decoded, 0.4), sort_keys=True) == r1
+
+
+def test_pmap_pool_is_capped_by_items_and_cpus(monkeypatch):
+    # a fake pool records its size and maps serially, so no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(extremal.mp, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(extremal.os, "cpu_count", lambda: 4)
+    double = functools.partial(operator.mul, 2)
+    assert extremal._pmap(double, [1, 2, 3], 5000) == [2, 4, 6]
+    assert extremal._pmap(double, list(range(10)), 5000) == list(range(0, 20, 2))
+    assert extremal._pmap(double, list(range(10)), 3) == list(range(0, 20, 2))
+    assert extremal._pmap(double, [1, 2, 3], 1) == [2, 4, 6]
+    assert sizes == [3, 4, 3]
+    monkeypatch.setattr(extremal.os, "cpu_count", lambda: None)
+    assert extremal._pmap(double, [1, 2, 3], 5000) == [2, 4, 6]
+    assert sizes == [3, 4, 3]
 
 
 def test_layer_hooks_called_once_per_graph(monkeypatch):

@@ -187,25 +187,13 @@ def test_pendant_matching_graph():
 
 
 def test_edit_operations():
-    c3 = cycle(4).contract_edge(0, 1)
-    assert iso(c3, complete(3))
-    assert iso(complete(4).delete_vertex(2), complete(3))
     p3 = path_graph(3)
     assert iso(p3.add_edge(0, 2), complete(3))
     with pytest.raises(ValueError):
         p3.add_edge(0, 1)
     with pytest.raises(ValueError):
         p3.delete_edge(0, 2)
-    with pytest.raises(ValueError):
-        p3.contract_edge(0, 2)
     assert p3.delete_edge(0, 1).e == 1
-
-
-def test_contract_merges_neighborhoods():
-    g = from_edges(4, [(0, 1), (1, 2), (0, 3)])
-    h = g.contract_edge(0, 1)  # merged vertex adjacent to old 2 and 3
-    assert h.n == 3 and h.e == 2
-    assert h.degree(0) == 2
 
 
 def test_family_params():

@@ -90,8 +90,11 @@ def test_edge_lemmas_budget_inconclusive():
 
 def test_polynomial_identities_pass():
     outs = check_polynomial_identities()
-    assert [o.status for o in outs] == [STATUS_PASS] * 3
+    assert [o.status for o in outs] == [STATUS_PASS] * 6
     assert all(o.margin > 0 for o in outs)
+    assert [o.check_id for o in outs[3:]] == [
+        "quotient-radius-equality", "quotient-cubic-identity", "double-eigenvector-identity",
+    ]
 
 
 def test_theorem_small_n_asserted_regime():
@@ -123,7 +126,14 @@ def test_suite_registry_and_unknown():
 
 def test_run_suites_subset():
     outs = run_suites(["lemma-updown", "polynomial-identities"])
-    assert len(outs) == 4
+    assert len(outs) == 7
+
+
+def test_margins_agree_with_statuses():
+    # a check that does not fail reports no negative worst slack
+    for o in run_suites(["all"]):
+        if o.status != STATUS_FAIL:
+            assert o.margin is None or o.margin >= 0, (o.check_id, o.margin)
 
 
 def test_outcome_json_reproducible():
