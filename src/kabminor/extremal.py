@@ -36,6 +36,7 @@ from .graphs import (
     Graph,
     _bits,
     _twin_classes,
+    complete_bipartite,
     extremal_family,
     from_graph6,
 )
@@ -368,24 +369,19 @@ def parse_constraint(tag: str):
 
 
 def _check_constraint(g: Graph, name: str, args, budget: int) -> bool:
+    """Whether g satisfies the constraint; raises BudgetExhausted when the
+    minor search runs out of budget first."""
     if name == "star-minor-free" or (name == "kab-minor-free" and args[0] == 1):
-        try:
-            return star_minor_free(g, args[-1], budget)
-        except BudgetExhausted:
-            raise BudgetAbort(g.to_graph6()) from None
+        return star_minor_free(g, args[-1], budget)
     if name == "kab-minor-free":
-        a, b = args
-        from .graphs import complete_bipartite
-
-        w = has_minor(g, complete_bipartite(a, b), budget)
+        w = has_minor(g, complete_bipartite(*args), budget)
         if w.verdict == VERDICT_BUDGET:
-            raise BudgetAbort(g.to_graph6())
+            raise BudgetExhausted(f"expansion budget {budget} exhausted")
         return w.verdict == VERDICT_FREE
     if name == "ab-property":
-        a, b = args
-        rep = ab_property(g, a, b, budget)
+        rep = ab_property(g, *args, budget)
         if VERDICT_BUDGET in rep.verdicts:
-            raise BudgetAbort(g.to_graph6())
+            raise BudgetExhausted(f"expansion budget {budget} exhausted")
         return rep.overall
     raise ValueError(f"unknown constraint {name!r}")
 
@@ -435,7 +431,7 @@ def _pmap(fn, items, jobs: int):
 def _worker(name, args, alpha, budget, g):
     try:
         ok = _check_constraint(g, name, args, budget)
-    except BudgetAbort:
+    except BudgetExhausted:
         return ("budget", 0.0)
     if not ok:
         return ("out", 0.0)

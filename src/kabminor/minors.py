@@ -13,6 +13,11 @@ K_{r,s}) may swap branch sets, so each twin's branch set must have a
 larger lowest vertex than that of the twin placed before it.  This
 searches one model out of every r!*s! relabellings and leaves every
 verdict unchanged.
+
+Both searches walk connected vertex sets with _connected_subsets, which
+yields each set exactly once together with the OR of its rows, so a
+candidate's neighbourhood is never recomputed; one expansion is one set
+examined.
 """
 
 from __future__ import annotations
@@ -68,32 +73,30 @@ def validate_witness(g: Graph, h: Graph, witness: MinorWitness) -> bool:
 
 
 def _connected_subsets(rows, allowed: int, max_size: int):
-    """Yield every nonempty connected vertex subset (as a bitmask) of the
-    graph restricted to `allowed`, each exactly once, up to max_size."""
-    n = len(rows)
+    """Yield (S, N) for every nonempty connected vertex subset S (as a
+    bitmask) of the graph restricted to `allowed`, each exactly once, up
+    to max_size; N is the OR of the rows of S."""
     rest = allowed
-    for v in range(n):
-        if not rest >> v & 1:
-            continue
-        root = 1 << v
+    for v in _bits(allowed):
         # sets whose minimum vertex is v: extensions drawn from rest only
-        yield from _grow(rows, root, rows[v] & rest & ~root, rest, max_size)
-        rest &= ~root
+        yield from _grow(rows, 1 << v, rows[v], rest, max_size)
+        rest &= ~(1 << v)
 
 
-def _grow(rows, s: int, cand: int, allowed: int, max_size: int):
-    yield s
+def _grow(rows, s: int, nb: int, allowed: int, max_size: int):
+    """Yield (S, N) for s and every connected extension of s by vertices
+    of `allowed`.  A tried candidate leaves `allowed` for the later
+    branches and all their descendants, so each set is yielded once, in
+    the branch of the first candidate it contains."""
+    yield s, nb
     if s.bit_count() >= max_size:
         return
-    banned = 0
+    cand = nb & allowed & ~s
     while cand:
         low = cand & -cand
         cand ^= low
-        u = low.bit_length() - 1
-        s2 = s | low
-        cand2 = (cand | (rows[u] & allowed)) & ~s2 & ~banned
-        yield from _grow(rows, s2, cand2, allowed, max_size)
-        banned |= low
+        yield from _grow(rows, s | low, nb | rows[low.bit_length() - 1], allowed, max_size)
+        allowed &= ~low
 
 
 def _minor_search(g: Graph, h: Graph, budget: int):
@@ -131,16 +134,11 @@ def _minor_search(g: Graph, h: Graph, budget: int):
             low = branch[twin_before[i]]
             allowed &= ~((low & -low) * 2 - 1)
         placed_masks = [branch[j] for j in placed_nbrs[i]]
-        for s in _connected_subsets(g.rows, allowed, slack + 1):
+        for s, nb in _connected_subsets(g.rows, allowed, slack + 1):
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExhausted(f"expansion budget {budget} exhausted")
-            ok = True
-            for pm in placed_masks:
-                if not any(g.rows[x] & pm for x in _bits(s)):
-                    ok = False
-                    break
-            if not ok:
+            if not all(nb & pm for pm in placed_masks):
                 continue
             branch[i] = s
             if assign(i + 1, used | s):
@@ -164,15 +162,13 @@ def _star_boundary(g: Graph, b: int, budget: int):
     (0, 0, expansions); one expansion per connected set examined, and
     raises BudgetExhausted past the budget.  Singletons go first, since a
     vertex of degree >= b settles it; larger sets need |S| <= n - b."""
-    larger = (s for s in _connected_subsets(g.rows, (1 << g.n) - 1, g.n - b) if s & (s - 1))
+    singletons = ((1 << v, g.rows[v]) for v in range(g.n))
+    larger = ((s, nb) for s, nb in _connected_subsets(g.rows, (1 << g.n) - 1, g.n - b) if s & (s - 1))
     count = 0
-    for s in itertools.chain((1 << v for v in range(g.n)), larger):
+    for s, nb in itertools.chain(singletons, larger):
         count += 1
         if count > budget:
             raise BudgetExhausted(f"expansion budget {budget} exhausted")
-        nb = 0
-        for v in _bits(s):
-            nb |= g.rows[v]
         nb &= ~s
         if nb.bit_count() >= b:
             return s, nb, count

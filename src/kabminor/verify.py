@@ -199,13 +199,13 @@ def check_mm_bounds() -> CheckOutcome:
 # path-end coordinate ordering in the F-block family
 # ---------------------------------------------------------------------
 
-def check_degree_ordering_claim(cases=((2, 6, 1, 2, 3), (2, 6, 1, 3, 2), (3, 7, 1, 2, 4)),
-                                alphas=(0.2, 0.5)) -> CheckOutcome:
+def check_degree_ordering_claim(cases=((2, 6, 1, 2, 3), (2, 6, 1, 3, 2), (3, 7, 1, 2, 4))) -> CheckOutcome:
     """Inside apex ∨ (clique copies ∪ F(a1,0,a3)): the Perron coordinate
     of the path end attached to the smaller class is the smaller one;
     equal classes give equal coordinates."""
     failures = []
     worst = math.inf
+    alphas = (0.2, 0.5)
     for a, b, k, a1, a3 in cases:
         if a1 + a3 != b - 1:
             raise ValueError("classes must partition b-1")
@@ -392,11 +392,13 @@ def _check_quadratic_difference() -> CheckOutcome:
     return _outcome("quadratic-difference-identity", {"b": list(_IDENTITY_BS)}, failures, worst)
 
 
-def _check_cubic_at_radius(bs=(4, 6), alphas=(0.2, 0.5, 0.8)) -> CheckOutcome:
+def _check_cubic_at_radius() -> CheckOutcome:
     """On the order-(b+1) candidate maximizers with attachment-set size
     u2, the cubic at the spectral radius equals the quadratic at u2."""
     failures = []
     worst = math.inf
+    bs = (4, 6)
+    alphas = (0.2, 0.5, 0.8)
     for b in bs:
         for u2 in (2, b - 2):
             g = pendant_matching_graph(b, u2)

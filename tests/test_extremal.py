@@ -219,6 +219,8 @@ def test_predict_clauses():
     assert p.clause == CLAUSE_APEX_CLIQUES and p.graph.e == 13
     p = predict(4, 8, 21, 0.5)
     assert p.clause == CLAUSE_APEX_PETERSEN
+    p = predict(1, 8, 61, 0.5)
+    assert p.clause == CLAUSE_SUBDIVIDED and p.graph.n == 61
     p = predict(2, 5, 17, 0.3)  # k=3, t=1, tau=2 -> star-forest complements
     assert p.clause == CLAUSE_APEX_STAR_FORESTS
     with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from kabminor.minors import (
     VERDICT_FREE,
     BudgetExhausted,
     MinorWitness,
+    _connected_subsets,
     _minor_search,
     ab_property,
     ab_property_complement_criterion,
@@ -110,6 +111,41 @@ def test_star_pattern_routing():
     assert w.verdict == VERDICT_FREE and w.expansions < 1000
     assert has_minor(g, complete_bipartite(1, 8), budget=5) == \
         MinorWitness(VERDICT_BUDGET, None, 5)
+
+
+def _is_connected_mask(rows, mask):
+    seen = mask & -mask
+    frontier = seen
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        fresh = rows[v] & mask & ~seen
+        seen |= fresh
+        frontier |= fresh
+    return seen == mask
+
+
+def test_connected_subsets_exactly_once():
+    # the walker against brute force: every connected subset of the
+    # allowed vertices up to the size cap, each once, with N the OR of
+    # the rows of S
+    rng = np.random.default_rng(3)
+    for n in range(1, 8):
+        full = (1 << n) - 1
+        for g in enumerate_graphs(n):
+            cases = [(full, n)]
+            cases += [(int(rng.integers(0, full + 1)), int(rng.integers(1, n + 1))) for _ in range(3)]
+            for allowed, cap in cases:
+                got = list(_connected_subsets(g.rows, allowed, cap))
+                expected = [m for m in range(1, full + 1)
+                            if m & ~allowed == 0 and m.bit_count() <= cap
+                            and _is_connected_mask(g.rows, m)]
+                assert sorted(s for s, _ in got) == expected, (g.to_graph6(), allowed, cap)
+                for s, nb in got:
+                    row_or = 0
+                    for v in _bits(s):
+                        row_or |= g.rows[v]
+                    assert nb == row_or
 
 
 def test_ab_property_examples():
