@@ -39,7 +39,7 @@ from .graphs import (
     star_forest,
     subdivided_clique,
 )
-from .minors import DEFAULT_BUDGET, has_minor
+from .minors import DEFAULT_BUDGET, BudgetExhausted, has_minor
 from .spectral import spectral_radius
 
 EXIT_OK = 0
@@ -224,6 +224,8 @@ def cmd_construct(args) -> int:
         payload["caveat"] = pred.caveat
         _emit(payload, args)
         return EXIT_OK
+    if (args.a, args.b, args.n) != (None, None, None):
+        raise SpecError("--a, --b and --n apply only to 'construct extremal'")
     g = parse_family_spec(args.spec)
     payload = _summary(g)
     if args.dot:
@@ -291,7 +293,9 @@ def cmd_search(args) -> int:
         corpus = ex.enumerate_graphs(args.n, connected_only=not args.all_graphs)
         source = f"internal:n={args.n}"
     prediction = None
-    if args.a is not None and args.b is not None and args.n is not None:
+    if (args.a, args.b) != (None, None):
+        if None in (args.a, args.b, args.n):
+            raise SpecError("a prediction needs all of --a, --b and --n")
         prediction = ex.predict(args.a, args.b, args.n, args.alpha)
     try:
         rep = ex.search_max(corpus, args.constraint, args.alpha,
@@ -411,6 +415,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BudgetExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -428,14 +428,27 @@ def _pmap(fn, items, jobs: int):
     return [fn(x) for x in items]
 
 
-def _worker(name, args, alpha, budget, g):
-    try:
-        ok = _check_constraint(g, name, args, budget)
-    except BudgetExhausted:
-        return ("budget", 0.0)
-    if not ok:
-        return ("out", 0.0)
-    return ("in", spectral_radius(g, alpha).lam)
+def survivors(corpus, constraint: str, budget: int = minors.DEFAULT_BUDGET, jobs: int = 1):
+    """(passing, undecided): the corpus graphs that satisfy the constraint
+    and those whose check ran out of budget, each in corpus order.  With
+    jobs > 1 the corpus is cut into contiguous slices that one pool filters,
+    and the slices' lists are joined in order, so results are independent
+    of jobs."""
+    name, args = parse_constraint(constraint)
+    graphs = list(corpus)
+    if jobs > 1:
+        size = -(-len(graphs) // (4 * jobs)) or 1
+        slices = [graphs[i:i + size] for i in range(0, len(graphs), size)]
+        parts = _pmap(functools.partial(survivors, constraint=constraint, budget=budget), slices, jobs)
+        return [g for p, _ in parts for g in p], [g for _, u in parts for g in u]
+    passing, undecided = [], []
+    for g in graphs:
+        try:
+            if _check_constraint(g, name, args, budget):
+                passing.append(g)
+        except BudgetExhausted:
+            undecided.append(g)
+    return passing, undecided
 
 
 def search_max(
@@ -447,26 +460,22 @@ def search_max(
     jobs: int = 1,
     prediction: ExtremalPrediction | None = None,
 ) -> SearchReport:
-    """Filter the corpus by the minor constraint and return every
-    maximizer of the alpha spectral radius within the tie tolerance.
-    Results are independent of jobs: per-graph work is pure and the merge
-    is a deterministic fold in corpus order."""
+    """Filter the corpus by the minor constraint (survivors) and return
+    every maximizer of the alpha spectral radius within the tie tolerance.
+    Raises BudgetAbort naming the first graph whose check ran out of
+    budget.  Results are independent of jobs."""
     check_alpha(alpha)
-    name, args = parse_constraint(constraint)
     graphs = list(corpus)
-    results = _pmap(functools.partial(_worker, name, args, alpha, budget), graphs, jobs)
-    lam_by_graph = []
-    for (status, lam), g in zip(results, graphs):
-        if status == "budget":
-            raise BudgetAbort(g.to_graph6())
-        if status == "in":
-            lam_by_graph.append((g, lam))
-    if not lam_by_graph:
+    passing, undecided = survivors(graphs, constraint, budget, jobs)
+    if undecided:
+        raise BudgetAbort(undecided[0].to_graph6())
+    if not passing:
         raise ValueError("no corpus graph satisfies the constraint")
-    lam_max = max(lam for _, lam in lam_by_graph)
+    lams = [spectral_radius(g, alpha).lam for g in passing]
+    lam_max = max(lams)
     maximizers = sorted(
         canonical_graph(g).to_graph6()
-        for g, lam in lam_by_graph
+        for g, lam in zip(passing, lams)
         if lam >= lam_max - LAMBDA_TIE_TOL
     )
     pred_clause = pred_g6 = agrees = None
@@ -479,7 +488,7 @@ def search_max(
         constraint,
         corpus_source,
         len(graphs),
-        len(lam_by_graph),
+        len(passing),
         alpha,
         lam_max,
         tuple(maximizers),

@@ -223,6 +223,8 @@ class Graph:
 def from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None) -> Graph:
     rows = [0] * n
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ValueError("no loops")
         rows[u] |= 1 << v

@@ -99,9 +99,9 @@ def _grow(rows, s: int, nb: int, allowed: int, max_size: int):
         allowed &= ~low
 
 
-def _minor_search(g: Graph, h: Graph, budget: int):
-    """Backtracking branch-set assignment; returns (found, branch_masks,
-    expansions) or raises BudgetExhausted.
+def _minor_search(g: Graph, h: Graph, budget: int, within: int):
+    """Backtracking branch-set assignment inside the vertex mask `within`;
+    returns (found, branch_masks, expansions) or raises BudgetExhausted.
 
     H-vertices are placed in order of decreasing degree, each drawing its
     branch set from the connected sets of the still-free vertices.  Twins
@@ -118,14 +118,13 @@ def _minor_search(g: Graph, h: Graph, budget: int):
     for cls in _twin_classes(h.rows, order):
         for prev, hv in zip(cls, cls[1:]):
             twin_before[pos[hv]] = pos[prev]
-    full = (1 << g.n) - 1
     counter = [0]
     branch = [0] * nh
 
     def assign(i: int, used: int):
         if i == nh:
             return True
-        free = full & ~used
+        free = within & ~used
         slack = free.bit_count() - (nh - i)
         if slack < 0:
             return False
@@ -155,15 +154,16 @@ def _minor_search(g: Graph, h: Graph, budget: int):
     return True, out, counter[0]
 
 
-def _star_boundary(g: Graph, b: int, budget: int):
-    """The boundary criterion for K_{1,b}: a star minor with b leaves
-    exists iff some connected set S has at least b neighbours outside S.
-    Returns (S, N(S) minus S, expansions) for the first such S found, or
-    (0, 0, expansions); one expansion per connected set examined, and
-    raises BudgetExhausted past the budget.  Singletons go first, since a
-    vertex of degree >= b settles it; larger sets need |S| <= n - b."""
-    singletons = ((1 << v, g.rows[v]) for v in range(g.n))
-    larger = ((s, nb) for s, nb in _connected_subsets(g.rows, (1 << g.n) - 1, g.n - b) if s & (s - 1))
+def _star_boundary(g: Graph, b: int, budget: int, within: int):
+    """The boundary criterion for K_{1,b} inside the vertex mask `within`,
+    a union of components of g: a star minor with b leaves exists iff some
+    connected set S has at least b neighbours outside S.  Returns (S, N(S)
+    minus S, expansions) for the first such S found, or (0, 0,
+    expansions); one expansion per connected set examined, and raises
+    BudgetExhausted past the budget.  Singletons go first, since a vertex
+    of degree >= b settles it; larger sets need |S| <= |within| - b."""
+    singletons = ((1 << v, g.rows[v]) for v in _bits(within))
+    larger = ((s, nb) for s, nb in _connected_subsets(g.rows, within, within.bit_count() - b) if s & (s - 1))
     count = 0
     for s, nb in itertools.chain(singletons, larger):
         count += 1
@@ -180,10 +180,10 @@ def _is_star(h: Graph) -> bool:
     return h.n >= 2 and h.e == h.n - 1 and h.max_degree() == h.n - 1
 
 
-def _star_search(g: Graph, h: Graph, budget: int):
+def _star_search(g: Graph, h: Graph, budget: int, within: int):
     """_minor_search for a star pattern h via the boundary criterion: the
     centre's branch set is S, each leaf a single vertex of N(S) minus S."""
-    s, nb, used = _star_boundary(g, h.n - 1, budget)
+    s, nb, used = _star_boundary(g, h.n - 1, budget, within)
     if not s:
         return False, None, used
     centre = next(v for v in range(h.n) if h.degree(v) == h.n - 1)
@@ -199,36 +199,24 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
         raise ValueError("pattern must be nonempty")
     if h.n > g.n or h.e > g.e:
         return MinorWitness(VERDICT_FREE, None, 0)
-    comps = g.component_masks()
-    if len(comps) > 1 and h.is_connected():
-        # a connected pattern must live inside one component
-        spent = 0
-        for mask in comps:
-            verts = list(_bits(mask))
-            sub = g.induced(verts)
-            w = has_minor(sub, h, budget - spent)
-            spent += w.expansions
-            if w.verdict == VERDICT_BUDGET:
-                return MinorWitness(VERDICT_BUDGET, None, budget)
-            if w.verdict == VERDICT_CONTAINS:
-                sets = tuple(tuple(verts[v] for v in bs) for bs in w.branch_sets)
-                out = MinorWitness(VERDICT_CONTAINS, sets, spent)
-                if not validate_witness(g, h, out):
-                    raise AssertionError("component witness failed revalidation")
-                return out
-        return MinorWitness(VERDICT_FREE, None, spent)
+    # a connected pattern must live inside one component, searched in place
+    parts = g.component_masks() if h.is_connected() else [(1 << g.n) - 1]
     search = _star_search if _is_star(h) else _minor_search
-    try:
-        found, masks, used = search(g, h, budget)
-    except BudgetExhausted:
-        return MinorWitness(VERDICT_BUDGET, None, budget)
-    if not found:
-        return MinorWitness(VERDICT_FREE, None, used)
-    sets = tuple(tuple(_bits(m)) for m in masks)
-    w = MinorWitness(VERDICT_CONTAINS, sets, used)
-    if not validate_witness(g, h, w):
-        raise AssertionError("search produced an invalid witness")
-    return w
+    spent = 0
+    for mask in parts:
+        if h.n > mask.bit_count() or 2 * h.e > sum((g.rows[v] & mask).bit_count() for v in _bits(mask)):
+            continue
+        try:
+            found, masks, used = search(g, h, budget - spent, mask)
+        except BudgetExhausted:
+            return MinorWitness(VERDICT_BUDGET, None, budget)
+        spent += used
+        if found:
+            w = MinorWitness(VERDICT_CONTAINS, tuple(tuple(_bits(m)) for m in masks), spent)
+            if not validate_witness(g, h, w):
+                raise AssertionError("search produced an invalid witness")
+            return w
+    return MinorWitness(VERDICT_FREE, None, spent)
 
 
 def star_minor_free(g: Graph, b: int, budget: int = DEFAULT_BUDGET) -> bool:
@@ -236,7 +224,7 @@ def star_minor_free(g: Graph, b: int, budget: int = DEFAULT_BUDGET) -> bool:
     raises BudgetExhausted when the expansion budget runs out first."""
     if b < 1:
         raise ValueError("need b >= 1")
-    s, _, _ = _star_boundary(g, b, budget)
+    s, _, _ = _star_boundary(g, b, budget, (1 << g.n) - 1)
     return not s
 
 

@@ -36,14 +36,7 @@ from .graphs import (
     star_forest,
     subdivided_clique,
 )
-from .minors import (
-    DEFAULT_BUDGET,
-    VERDICT_BUDGET,
-    BudgetExhausted,
-    ab_property,
-    ab_property_complement_criterion,
-    star_minor_free,
-)
+from .minors import DEFAULT_BUDGET, ab_property_complement_criterion
 from .spectral import (
     f1_eval,
     f1_threshold_closed,
@@ -105,6 +98,27 @@ def _outcome(check_id, scope, failures, margin, notes=(), inconclusive=False):
     return CheckOutcome(check_id, scope, status, margin, (), tuple(notes))
 
 
+def _fold(check_id, scope, cases) -> CheckOutcome:
+    """The outcome of (artifact, margin, ok) cases: the worst margin, and
+    the artifacts of the cases that are not ok, in case order."""
+    failures = []
+    worst = math.inf
+    for artifact, margin, ok in cases:
+        worst = min(worst, margin)
+        if not ok:
+            failures.append(artifact)
+    return _outcome(check_id, scope, failures, worst)
+
+
+def _close(artifact, rel, tol=1e-8):
+    """The case of a relative error that must stay within tol."""
+    return artifact, tol - rel, rel <= tol
+
+
+def _rel(value, ref):
+    return abs(value - ref) / max(1.0, abs(ref))
+
+
 # ---------------------------------------------------------------------
 # spectral lower bound for subdivided cliques
 # ---------------------------------------------------------------------
@@ -112,24 +126,19 @@ def _outcome(check_id, scope, failures, margin, notes=(), inconclusive=False):
 def check_lemma_updown(b_range=range(3, 9), alphas=None) -> CheckOutcome:
     """lambda_alpha(subdivided clique on n vertices) exceeds
     b-1-2(1-alpha)/(b-1), and that point is itself >= b-2+alpha."""
-    failures = []
-    worst = math.inf
+    def cases():
+        for b in b_range:
+            for alpha in alphas if alphas is not None else alpha_grid(b):
+                thr = threshold(b, alpha)
+                chain = thr - (b - 2 + alpha)
+                yield f"chain:b={b},alpha={alpha}", chain, chain >= -1e-12
+                for n in (b + 1, b + 2, b + 5):
+                    g = subdivided_clique(b, n - b)
+                    margin = spectral_radius(g, alpha).lam - thr
+                    yield g.to_graph6(), margin, margin > 0
+
     scope = {"b": list(b_range), "n_offsets": [1, 2, 5]}
-    for b in b_range:
-        for alpha in alphas if alphas is not None else alpha_grid(b):
-            thr = threshold(b, alpha)
-            chain = thr - (b - 2 + alpha)
-            worst = min(worst, chain)
-            if chain < -1e-12:
-                failures.append(f"chain:b={b},alpha={alpha}")
-            for n in (b + 1, b + 2, b + 5):
-                g = subdivided_clique(b, n - b)
-                lam = spectral_radius(g, alpha).lam
-                margin = lam - thr
-                worst = min(worst, margin)
-                if margin <= 0:
-                    failures.append(g.to_graph6())
-    return _outcome("spectral-lower-bound-subdivided-clique", scope, failures, worst)
+    return _fold("spectral-lower-bound-subdivided-clique", scope, cases())
 
 
 # ---------------------------------------------------------------------
@@ -203,33 +212,28 @@ def check_degree_ordering_claim(cases=((2, 6, 1, 2, 3), (2, 6, 1, 3, 2), (3, 7, 
     """Inside apex ∨ (clique copies ∪ F(a1,0,a3)): the Perron coordinate
     of the path end attached to the smaller class is the smaller one;
     equal classes give equal coordinates."""
-    failures = []
-    worst = math.inf
     alphas = (0.2, 0.5)
-    for a, b, k, a1, a3 in cases:
-        if a1 + a3 != b - 1:
-            raise ValueError("classes must partition b-1")
-        block = f_graph(a1, 0, a3)
-        g = join(complete(a - 1), disjoint_union([complete(b)] * k + [block]))
-        lv1 = g.labels.index("v1")
-        lv3 = g.labels.index("v3")
-        for alpha in alphas:
-            x = spectral_radius(g, alpha).vector
-            diff = x[lv3] - x[lv1]
-            if a1 < a3:
-                worst = min(worst, diff)
-                if diff <= 0:
-                    failures.append(g.to_graph6())
-            elif a1 > a3:
-                worst = min(worst, -diff)
-                if diff >= 0:
-                    failures.append(g.to_graph6())
-            else:
-                worst = min(worst, -abs(diff) + 1e-9)
-                if abs(diff) > 1e-9:
-                    failures.append(g.to_graph6())
+
+    def folded():
+        for a, b, k, a1, a3 in cases:
+            if a1 + a3 != b - 1:
+                raise ValueError("classes must partition b-1")
+            block = f_graph(a1, 0, a3)
+            g = join(complete(a - 1), disjoint_union([complete(b)] * k + [block]))
+            lv1 = g.labels.index("v1")
+            lv3 = g.labels.index("v3")
+            for alpha in alphas:
+                x = spectral_radius(g, alpha).vector
+                diff = x[lv3] - x[lv1]
+                if a1 < a3:
+                    yield g.to_graph6(), diff, diff > 0
+                elif a1 > a3:
+                    yield g.to_graph6(), -diff, diff < 0
+                else:
+                    yield g.to_graph6(), -abs(diff) + 1e-9, abs(diff) <= 1e-9
+
     scope = {"cases": [list(c) for c in cases], "alphas": list(alphas)}
-    return _outcome("path-end-coordinate-ordering", scope, failures, worst)
+    return _fold("path-end-coordinate-ordering", scope, folded())
 
 
 # ---------------------------------------------------------------------
@@ -255,13 +259,10 @@ def _check_edge_bound_star(b: int, n_range, budget: int) -> CheckOutcome:
     for n in n_range:
         bound = b * (b - 1) // 2 + n - b
         best = -1
-        for g in ex.enumerate_graphs(n, connected_only=True):
-            try:
-                if not star_minor_free(g, b, budget):
-                    continue
-            except BudgetExhausted:
-                inconclusive = True
-                continue
+        passing, undecided = ex.survivors(ex.enumerate_graphs(n, connected_only=True),
+                                          f"star-minor-free:{b}", budget)
+        inconclusive = inconclusive or bool(undecided)
+        for g in passing:
             if g.e > bound:
                 failures.append(g.to_graph6())
             best = max(best, g.e)
@@ -285,21 +286,16 @@ def _check_edge_max_property(a: int, b: int, budget: int) -> CheckOutcome:
     target = b * (b - 1) // 2 + tau - 1
     failures = []
     notes = []
-    inconclusive = False
     best = -1
     maximizers = []
-    for g in ex.enumerate_graphs(b + 1, connected_only=True):
-        rep = ab_property(g, a, b, budget)
-        if VERDICT_BUDGET in rep.verdicts:
-            inconclusive = True
-            continue
-        if not rep.overall:
-            continue
+    passing, undecided = ex.survivors(ex.enumerate_graphs(b + 1, connected_only=True),
+                                      f"ab-property:{a},{b}", budget)
+    for g in passing:
         if g.e > best:
             best, maximizers = g.e, [g]
         elif g.e == best:
             maximizers.append(g)
-    if inconclusive:
+    if undecided:
         # some graphs undecided: the maximum below is unreliable, so
         # nothing may be asserted either way
         notes.append("budget exhausted on part of the sweep")
@@ -315,27 +311,20 @@ def _check_edge_max_property(a: int, b: int, budget: int) -> CheckOutcome:
             failures.append(g.to_graph6())
     notes.append(f"max_e={best},maximizers={len(maximizers)},tau={tau}")
     return _outcome(f"edge-max-property-order-{b + 1}", {"a": a, "b": b},
-                    failures, float(target - best) if best >= 0 else None,
-                    notes, inconclusive)
+                    failures, float(target - best) if best >= 0 else None, notes)
 
 
 def _check_criterion_agreement(a: int, b: int, budget: int) -> CheckOutcome:
     """The complement-component criterion agrees with the direct
     (a,b)-property test on every connected graph of order b+1."""
-    failures = []
-    inconclusive = False
-    count = 0
-    for g in ex.enumerate_graphs(b + 1, connected_only=True):
-        rep = ab_property(g, a, b, budget)
-        if VERDICT_BUDGET in rep.verdicts:
-            inconclusive = True
-            continue
-        if rep.overall != ab_property_complement_criterion(g, a, b):
-            failures.append(g.to_graph6())
-        count += 1
+    corpus = ex.enumerate_graphs(b + 1, connected_only=True)
+    passing, undecided = ex.survivors(corpus, f"ab-property:{a},{b}", budget)
+    held, skipped = set(passing), set(undecided)
+    failures = [g.to_graph6() for g in corpus
+                if g not in skipped and (g in held) != ab_property_complement_criterion(g, a, b)]
     return _outcome("complement-criterion-agreement",
-                    {"a": a, "b": b, "graphs": count}, failures, None,
-                    inconclusive=inconclusive)
+                    {"a": a, "b": b, "graphs": len(corpus) - len(undecided)}, failures, None,
+                    inconclusive=bool(undecided))
 
 
 # ---------------------------------------------------------------------
@@ -360,93 +349,63 @@ def check_polynomial_identities() -> list[CheckOutcome]:
 def _check_cubic_threshold() -> CheckOutcome:
     """Direct evaluation of the two cubics at the threshold point matches
     their closed forms, and both values are negative."""
-    failures = []
-    worst = math.inf
-    for b in _IDENTITY_BS:
-        for alpha in alpha_grid(b):
-            x = threshold(b, alpha)
-            for f, closed in ((f1_eval, f1_threshold_closed), (f2_eval, f2_threshold_closed)):
-                direct = f(b, alpha, x)
-                ref = closed(b, alpha)
-                rel = abs(direct - ref) / max(1.0, abs(ref))
-                worst = min(worst, 1e-8 - rel)
-                if rel > 1e-8:
-                    failures.append(f"path-mismatch:b={b},alpha={alpha}")
-                if direct >= 0:
-                    failures.append(f"nonnegative:b={b},alpha={alpha}")
-    return _outcome("cubic-threshold-identities", {"b": list(_IDENTITY_BS)}, failures, worst)
+    def cases():
+        for b in _IDENTITY_BS:
+            for alpha in alpha_grid(b):
+                x = threshold(b, alpha)
+                for f, closed in ((f1_eval, f1_threshold_closed), (f2_eval, f2_threshold_closed)):
+                    direct = f(b, alpha, x)
+                    yield _close(f"path-mismatch:b={b},alpha={alpha}", _rel(direct, closed(b, alpha)))
+                    yield f"nonnegative:b={b},alpha={alpha}", math.inf, direct < 0
+
+    return _fold("cubic-threshold-identities", {"b": list(_IDENTITY_BS)}, cases())
 
 
 def _check_quadratic_difference() -> CheckOutcome:
     """g(b-2) - g(2) equals (b-4)(alpha*b - 1)^2."""
-    failures = []
-    worst = math.inf
-    for b in _IDENTITY_BS:
-        for alpha in alpha_grid(b):
-            lhs = g_eval(b, alpha, b - 2) - g_eval(b, alpha, 2)
-            rhs = (b - 4) * (alpha * b - 1) ** 2
-            rel = abs(lhs - rhs) / max(1.0, abs(rhs))
-            worst = min(worst, 1e-10 - rel)
-            if rel > 1e-10:
-                failures.append(f"b={b},alpha={alpha}")
-    return _outcome("quadratic-difference-identity", {"b": list(_IDENTITY_BS)}, failures, worst)
+    return _fold("quadratic-difference-identity", {"b": list(_IDENTITY_BS)}, (
+        _close(f"b={b},alpha={alpha}",
+               _rel(g_eval(b, alpha, b - 2) - g_eval(b, alpha, 2), (b - 4) * (alpha * b - 1) ** 2), 1e-10)
+        for b in _IDENTITY_BS for alpha in alpha_grid(b)))
 
 
 def _check_cubic_at_radius() -> CheckOutcome:
     """On the order-(b+1) candidate maximizers with attachment-set size
     u2, the cubic at the spectral radius equals the quadratic at u2."""
-    failures = []
-    worst = math.inf
     bs = (4, 6)
-    alphas = (0.2, 0.5, 0.8)
-    for b in bs:
-        for u2 in (2, b - 2):
-            g = pendant_matching_graph(b, u2)
-            for alpha in alphas:
-                lam = spectral_radius(g, alpha).lam
-                lhs = h_eval(b, alpha, u2, lam)
-                rhs = g_eval(b, alpha, u2)
-                rel = abs(lhs - rhs) / max(1.0, abs(rhs))
-                worst = min(worst, 1e-8 - rel)
-                if rel > 1e-8:
-                    failures.append(g.to_graph6())
-    return _outcome("cubic-at-radius-identity", {"b": list(bs), "u2": "2 and b-2"},
-                    failures, worst)
+    graphs = [(b, u2, pendant_matching_graph(b, u2)) for b in bs for u2 in (2, b - 2)]
+    return _fold("cubic-at-radius-identity", {"b": list(bs), "u2": "2 and b-2"}, (
+        _close(g.to_graph6(), _rel(h_eval(b, alpha, u2, spectral_radius(g, alpha).lam), g_eval(b, alpha, u2)))
+        for b, u2, g in graphs for alpha in (0.2, 0.5, 0.8)))
 
 
 def _check_quotient_radius() -> CheckOutcome:
     """The equitable quotient of the once-subdivided clique has the same
     spectral radius as the graph."""
-    failures = []
-    worst = math.inf
-    for b in _IDENTITY_BS:
-        g = subdivided_clique(b, 1)
-        for alpha in alpha_grid(b):
-            _, lam, diff = quotient_radius_check(g, alpha, subdivided_clique_partition(b))
-            rel = diff / max(1.0, lam)
-            worst = min(worst, 1e-8 - rel)
-            if rel > 1e-8:
-                failures.append(f"b={b},alpha={alpha}")
-    return _outcome("quotient-radius-equality", {"b": list(_IDENTITY_BS)}, failures, worst)
+    def cases():
+        for b in _IDENTITY_BS:
+            g = subdivided_clique(b, 1)
+            for alpha in alpha_grid(b):
+                _, lam, diff = quotient_radius_check(g, alpha, subdivided_clique_partition(b))
+                yield _close(f"b={b},alpha={alpha}", diff / max(1.0, lam))
+
+    return _fold("quotient-radius-equality", {"b": list(_IDENTITY_BS)}, cases())
 
 
 def _check_quotient_cubic() -> CheckOutcome:
     """The characteristic polynomial of that quotient is the cubic f1,
     compared at four points (0, 1, b-1 and the spectral radius), which fix
     a cubic."""
-    failures = []
-    worst = math.inf
-    for b in _IDENTITY_BS:
-        g = subdivided_clique(b, 1)
-        for alpha in alpha_grid(b):
-            coeffs = np.poly(quotient(g, alpha, subdivided_clique_partition(b)).as_array())
-            for x in (0.0, 1.0, b - 1.0, spectral_radius(g, alpha).lam):
-                ref = f1_eval(b, alpha, x)
-                rel = abs(float(np.polyval(coeffs, x)) - ref) / max(1.0, abs(ref))
-                worst = min(worst, 1e-8 - rel)
-                if rel > 1e-8:
-                    failures.append(f"b={b},alpha={alpha},x={x}")
-    return _outcome("quotient-cubic-identity", {"b": list(_IDENTITY_BS)}, failures, worst)
+    def cases():
+        for b in _IDENTITY_BS:
+            g = subdivided_clique(b, 1)
+            for alpha in alpha_grid(b):
+                coeffs = np.poly(quotient(g, alpha, subdivided_clique_partition(b)).as_array())
+                for x in (0.0, 1.0, b - 1.0, spectral_radius(g, alpha).lam):
+                    yield _close(f"b={b},alpha={alpha},x={x}",
+                                 _rel(float(np.polyval(coeffs, x)), f1_eval(b, alpha, x)))
+
+    return _fold("quotient-cubic-identity", {"b": list(_IDENTITY_BS)}, cases())
 
 
 def _check_double_eigenvector() -> CheckOutcome:
@@ -455,16 +414,9 @@ def _check_double_eigenvector() -> CheckOutcome:
     clique_with_pendants(b), both connected of order b+2.  Unit vectors
     and a radius gap below 1 keep both sides below 1, so the residual is
     the relative error."""
-    failures = []
-    worst = math.inf
-    for b in _IDENTITY_BS:
-        g, h = subdivided_clique(b, 2), clique_with_pendants(b)
-        for alpha in alpha_grid(b):
-            rel = xy_identity_check(g, h, alpha)
-            worst = min(worst, 1e-8 - rel)
-            if rel > 1e-8:
-                failures.append(f"b={b},alpha={alpha}")
-    return _outcome("double-eigenvector-identity", {"b": list(_IDENTITY_BS)}, failures, worst)
+    return _fold("double-eigenvector-identity", {"b": list(_IDENTITY_BS)}, (
+        _close(f"b={b},alpha={alpha}", xy_identity_check(subdivided_clique(b, 2), clique_with_pendants(b), alpha))
+        for b in _IDENTITY_BS for alpha in alpha_grid(b)))
 
 
 # ---------------------------------------------------------------------

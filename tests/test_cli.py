@@ -74,6 +74,27 @@ def test_construct_extremal_missing_args(capsys):
     assert code == EXIT_USAGE and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "extremal", "--a", "1", "--b", "8", "--n", "61", "--alpha", "0.5"],
+    ["construct", "extremal", "--a", "4", "--b", "8", "--n", "21", "--alpha", "0.5"],
+    ["search", "--n", "7", "--constraint", "star-minor-free:5", "--a", "1", "--b", "5",
+     "--alpha", "0.5"],
+])
+def test_prediction_budget_exhaustion_exits_3(capsys, monkeypatch, argv):
+    # the re-verification of the predicted graph is starved of budget
+    import functools
+
+    from kabminor import extremal, minors
+
+    monkeypatch.setattr(extremal, "star_minor_free",
+                        functools.partial(minors.star_minor_free, budget=10))
+    monkeypatch.setattr(extremal, "minor_free_given_apex",
+                        functools.partial(minors.minor_free_given_apex, budget=10))
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_BUDGET and out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
 def test_construct_dot(capsys):
     code, out, _ = run(capsys, "construct", "P:3", "--dot", "--format", "json")
     assert code == EXIT_OK
@@ -252,6 +273,19 @@ def test_verify_b_outside_lemma_updown_is_usage_error(capsys):
     for suites in (["polynomial-identities"], [], ["lemma-updown", "polynomial-identities"]):
         code, out, err = run(capsys, "verify", *suites, "--b", "3..4", "--format", "json")
         assert code == EXIT_USAGE and out == "" and "--b" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "6", "--constraint", "star-minor-free:3", "--b", "3"],
+    ["search", "--n", "6", "--constraint", "star-minor-free:3", "--a", "1"],
+    ["construct", "K:4", "--a", "1", "--n", "9"],
+    ["construct", "C:5", "--b", "3"],
+])
+def test_options_without_effect_are_usage_errors(capsys, argv):
+    # a prediction needs all of --a, --b and --n, and construct reads
+    # them only for 'extremal'
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
 
 
 _BASE_ARGV = {

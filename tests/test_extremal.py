@@ -26,6 +26,7 @@ from kabminor.extremal import (
     parse_constraint,
     predict,
     search_max,
+    survivors,
 )
 from kabminor.graphs import (
     CLAUSE_APEX_CLIQUES,
@@ -320,6 +321,20 @@ def test_search_budget_abort():
         with pytest.raises(BudgetAbort) as exc:
             search_max([complete(3), aborting], "kab-minor-free:3,4", 0.1, budget=3, jobs=jobs)
         assert exc.value.graph6 == aborting.to_graph6()
+
+
+def test_survivors_split_in_corpus_order_across_jobs():
+    corpus = enumerate_graphs(6, True) + [join(complete(2), cycle(8))]
+    passing, undecided = survivors(corpus, "kab-minor-free:2,3", budget=3)
+    assert passing and undecided
+    rank = {g: i for i, g in enumerate(corpus)}
+    for part in (passing, undecided):
+        assert [rank[g] for g in part] == sorted(rank[g] for g in part)
+    for jobs in (2, 3):
+        assert survivors(corpus, "kab-minor-free:2,3", budget=3, jobs=jobs) == (passing, undecided)
+    free = [g for g in corpus if minors.has_minor(g, minors.complete_bipartite(2, 3)).verdict == "free"]
+    assert survivors(corpus, "kab-minor-free:2,3") == (free, [])
+    assert set(passing) <= set(free)
 
 
 def test_star_constraints_are_budgeted():

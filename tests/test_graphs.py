@@ -67,6 +67,9 @@ def test_graph_validation():
         Graph(1, (1,))  # loop
     with pytest.raises(ValueError):
         Graph(1, (2,))  # out of range
+    for edge in ((0, 5), (0, 3), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
+            from_edges(3, [(0, 1), edge])
 
 
 def test_join_edge_count():

@@ -70,7 +70,7 @@ def test_star_minor_free_basics():
 
 def _generic_star_free(g, b):
     """The K_{1,b} question put to the generic branch-set search."""
-    found, _, _ = _minor_search(g, star(b), DEFAULT_BUDGET)
+    found, _, _ = _minor_search(g, star(b), DEFAULT_BUDGET, (1 << g.n) - 1)
     return not found
 
 

@@ -1,9 +1,20 @@
 """Verification suites: statuses, margins, artifacts, reproducibility."""
 
 import json
+import types
 
+import numpy as np
 import pytest
 
+from kabminor import verify
+from kabminor.graphs import (
+    complete,
+    disjoint_union,
+    f_graph,
+    join,
+    pendant_matching_graph,
+    subdivided_clique,
+)
 from kabminor.verify import (
     STATUS_FAIL,
     STATUS_INCONCLUSIVE,
@@ -18,6 +29,7 @@ from kabminor.verify import (
     check_theorem_small_n,
     run_suites,
 )
+from kabminor.spectral import spectral_radius
 
 
 def test_alpha_grid():
@@ -95,6 +107,59 @@ def test_polynomial_identities_pass():
     assert [o.check_id for o in outs[3:]] == [
         "quotient-radius-equality", "quotient-cubic-identity", "double-eigenvector-identity",
     ]
+
+
+def _tags(fmt, bs=range(3, 13)):
+    return [fmt.format(b=b, alpha=alpha) for b in bs for alpha in alpha_grid(b)]
+
+
+def test_folded_checks_fail_with_artifacts_in_order(monkeypatch):
+    # break the identity each check asserts and read back which instances
+    # fail, in sweep order
+    def failed(outcome):
+        assert outcome.status == STATUS_FAIL
+        return list(outcome.artifacts)
+
+    monkeypatch.setattr(verify, "threshold",
+                        lambda b, alpha: 100.0 if b == 4 else b - 3 + alpha)
+    out = check_lemma_updown(range(3, 5), alphas=(0.0, 0.5))
+    assert failed(out) == (["chain:b=3,alpha=0.0", "chain:b=3,alpha=0.5"]
+                           + [subdivided_clique(4, k).to_graph6() for k in (1, 2, 5)] * 2)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(verify, "spectral_radius",
+                        lambda g, alpha: types.SimpleNamespace(vector=np.zeros(g.n)))
+    cases = ((2, 6, 1, 2, 3), (2, 6, 1, 3, 2), (2, 7, 1, 3, 3))
+    graphs = [join(complete(a - 1), disjoint_union([complete(b)] * k + [f_graph(a1, 0, a3)]))
+              for a, b, k, a1, a3 in cases]
+    out = check_degree_ordering_claim(cases=cases)
+    assert failed(out) == [g.to_graph6() for g in graphs[:2] for _ in range(2)]
+    monkeypatch.undo()
+
+    monkeypatch.setattr(verify, "f1_eval", lambda b, alpha, x: 1e6)
+    outs = check_polynomial_identities()
+    pairs = _tags("path-mismatch:b={b},alpha={alpha} nonnegative:b={b},alpha={alpha}")
+    assert failed(outs[0]) == [t for p in pairs for t in p.split()]
+    assert failed(outs[4]) == [
+        f"b={b},alpha={alpha},x={x}" for b in range(3, 13) for alpha in alpha_grid(b)
+        for x in (0.0, 1.0, b - 1.0, spectral_radius(subdivided_clique(b, 1), alpha).lam)]
+    assert [o.status for o in outs[1:4] + outs[5:]] == [STATUS_PASS] * 4
+    monkeypatch.undo()
+
+    g_eval = verify.g_eval
+    monkeypatch.setattr(verify, "g_eval",
+                        lambda b, alpha, u: g_eval(b, alpha, u) + (u == 2))
+    outs = check_polynomial_identities()
+    # at b = 4 both arguments of the difference are 2, so it still holds
+    assert failed(outs[1]) == _tags("b={b},alpha={alpha}", [3] + list(range(5, 13)))
+    assert failed(outs[2]) == ([pendant_matching_graph(4, 2).to_graph6()] * 6
+                               + [pendant_matching_graph(6, 2).to_graph6()] * 3)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(verify, "quotient_radius_check", lambda g, alpha, cells: (None, 1.0, 1.0))
+    monkeypatch.setattr(verify, "xy_identity_check", lambda g, h, alpha: 1.0)
+    outs = check_polynomial_identities()
+    assert failed(outs[3]) == failed(outs[5]) == _tags("b={b},alpha={alpha}")
 
 
 def test_theorem_small_n_asserted_regime():
