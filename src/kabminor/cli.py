@@ -216,20 +216,16 @@ def cmd_construct(args) -> int:
         if args.a is None or args.b is None or args.n is None:
             raise SpecError("extremal needs --a, --b, --n")
         pred = ex.predict(args.a, args.b, args.n, args.alpha)
-        if pred.graph is None:
-            _emit({"clause": pred.clause, "caveat": pred.caveat, "graph6": None}, args)
-            return EXIT_OK
-        payload = _summary(pred.graph)
-        payload["clause"] = pred.clause
-        payload["caveat"] = pred.caveat
-        _emit(payload, args)
-        return EXIT_OK
-    if (args.a, args.b, args.n) != (None, None, None):
-        raise SpecError("--a, --b and --n apply only to 'construct extremal'")
-    g = parse_family_spec(args.spec)
-    payload = _summary(g)
+        g = pred.graph
+        payload = {"graph6": None} if g is None else _summary(g)
+        payload.update(clause=pred.clause, caveat=pred.caveat)
+    else:
+        if (args.a, args.b, args.n) != (None, None, None):
+            raise SpecError("--a, --b and --n apply only to 'construct extremal'")
+        g = parse_family_spec(args.spec)
+        payload = _summary(g)
     if args.dot:
-        payload["dot"] = g.to_dot()
+        payload["dot"] = None if g is None else g.to_dot()
     _emit(payload, args)
     return EXIT_OK
 
@@ -282,6 +278,10 @@ def cmd_minor(args) -> int:
 
 def cmd_search(args) -> int:
     if args.corpus:
+        if args.all_graphs:
+            raise SpecError("--all-graphs applies only to the internal corpus")
+        if args.n is not None and (args.a, args.b) == (None, None):
+            raise SpecError("with --corpus, --n only feeds a prediction, which needs --a and --b")
         try:
             corpus = ex.ingest_graph6(args.corpus)
         except OSError as exc:

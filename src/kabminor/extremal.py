@@ -41,10 +41,9 @@ from .graphs import (
     from_graph6,
 )
 from .minors import (
-    VERDICT_BUDGET,
-    VERDICT_FREE,
     BudgetExhausted,
     ab_property,
+    all_free,
     find_clique_dominating_set,
     has_minor,
     minor_free_given_apex,
@@ -287,7 +286,6 @@ CAVEAT_ORDER_TOO_SMALL = "order too small for the clause construction"
 @dataclass(frozen=True)
 class ExtremalPrediction:
     params: FamilyParams
-    alpha: float
     clause: str
     graph: Graph | None
     caveat: str = ""
@@ -319,23 +317,21 @@ def _select_clause(p: FamilyParams, alpha: float):
 
 def predict(a: int, b: int, n: int, alpha: float) -> ExtremalPrediction:
     """Pick the extremal construction clause for (a, b, n, alpha) and
-    build its graph; the graph is re-verified minor-free before being
-    reported.  Raises RuntimeError (BudgetExhausted) when that check runs
-    out of budget."""
+    build its graph.  The graph is re-verified K_{a,b}-minor free through
+    the dominating-clique reduction (S empty when a = 1) before being
+    reported; raises RuntimeError (BudgetExhausted) when that check runs
+    out of budget.  An empty caveat marks a clause asserted with no
+    large-order or alpha-window condition."""
     check_alpha(alpha)
     p = FamilyParams(a, b, n)
     clause, caveat = _select_clause(p, alpha)
     if clause == CLAUSE_OUTSIDE:
-        return ExtremalPrediction(p, alpha, clause, None, caveat)
+        return ExtremalPrediction(p, clause, None, caveat)
     g = extremal_family(p, clause)
-    if a == 1:
-        if not star_minor_free(g, b):
-            raise AssertionError("predicted graph is not star-minor free")
-    else:
-        S = find_clique_dominating_set(g, a - 1)
-        if S is None or not minor_free_given_apex(g, S, a, b):
-            raise AssertionError("predicted graph fails the minor-freeness check")
-    return ExtremalPrediction(p, alpha, clause, g, caveat)
+    S = find_clique_dominating_set(g, a - 1)
+    if S is None or not minor_free_given_apex(g, S, a, b):
+        raise AssertionError("predicted graph fails the minor-freeness check")
+    return ExtremalPrediction(p, clause, g, caveat)
 
 
 # ---------------------------------------------------------------------
@@ -374,15 +370,9 @@ def _check_constraint(g: Graph, name: str, args, budget: int) -> bool:
     if name == "star-minor-free" or (name == "kab-minor-free" and args[0] == 1):
         return star_minor_free(g, args[-1], budget)
     if name == "kab-minor-free":
-        w = has_minor(g, complete_bipartite(*args), budget)
-        if w.verdict == VERDICT_BUDGET:
-            raise BudgetExhausted(f"expansion budget {budget} exhausted")
-        return w.verdict == VERDICT_FREE
+        return all_free([has_minor(g, complete_bipartite(*args), budget).verdict], budget)
     if name == "ab-property":
-        rep = ab_property(g, *args, budget)
-        if VERDICT_BUDGET in rep.verdicts:
-            raise BudgetExhausted(f"expansion budget {budget} exhausted")
-        return rep.overall
+        return all_free(ab_property(g, *args, budget).verdicts, budget)
     raise ValueError(f"unknown constraint {name!r}")
 
 

@@ -207,8 +207,8 @@ class Graph:
     def to_graph6(self) -> str:
         return to_graph6(self)
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph G {"]
         for v in range(self.n):
             lab = ""
             if self.labels and self.labels[v]:
@@ -298,8 +298,8 @@ def from_graph6(s: str) -> Graph:
 # generic constructions
 # ---------------------------------------------------------------------
 
-def empty_graph(n: int, labels=None) -> Graph:
-    return Graph(n, (0,) * n, tuple(labels) if labels else None)
+def empty_graph(n: int) -> Graph:
+    return Graph(n, (0,) * n)
 
 
 def complete(m: int) -> Graph:
@@ -482,15 +482,6 @@ CLAUSE_APEX_STAR_FORESTS = "apex-star-forest-complements"
 CLAUSE_APEX_PETERSEN = "apex-petersen-complement"    # t = 2, tau = 1, b = 8
 CLAUSE_APEX_CLIQUES = "apex-cliques-remainder"
 CLAUSE_OUTSIDE = "outside-theorem"
-
-_CLAUSES = (
-    CLAUSE_STAR_FOREST,
-    CLAUSE_SUBDIVIDED,
-    CLAUSE_APEX_F_BLOCK,
-    CLAUSE_APEX_STAR_FORESTS,
-    CLAUSE_APEX_PETERSEN,
-    CLAUSE_APEX_CLIQUES,
-)
 
 
 def extremal_family(p: FamilyParams, clause: str) -> Graph:

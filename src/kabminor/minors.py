@@ -228,11 +228,16 @@ def star_minor_free(g: Graph, b: int, budget: int = DEFAULT_BUDGET) -> bool:
     return not s
 
 
+def all_free(verdicts, budget: int) -> bool:
+    """Whether every verdict is free; raises BudgetExhausted when one of
+    them ran out of the expansion budget instead."""
+    if VERDICT_BUDGET in verdicts:
+        raise BudgetExhausted(f"expansion budget {budget} exhausted")
+    return all(v == VERDICT_FREE for v in verdicts)
+
+
 @dataclass(frozen=True)
 class AbPropertyReport:
-    a: int
-    b: int
-    omega: int
     checked_pairs: tuple[tuple[int, int], ...]
     verdicts: tuple[str, ...]  # "free" | "contains" | "budget" per pair
     overall: bool
@@ -252,7 +257,7 @@ def ab_property(g: Graph, a: int, b: int, budget: int = DEFAULT_BUDGET) -> AbPro
         pairs.append((r, s))
         verdicts.append(has_minor(g, complete_bipartite(r, s), budget).verdict)
     overall = all(v == VERDICT_FREE for v in verdicts)
-    return AbPropertyReport(a, b, omega, tuple(pairs), tuple(verdicts), overall)
+    return AbPropertyReport(tuple(pairs), tuple(verdicts), overall)
 
 
 def ab_property_complement_criterion(g: Graph, a: int, b: int) -> bool:
@@ -281,7 +286,9 @@ def find_clique_dominating_set(g: Graph, size: int):
 def minor_free_given_apex(g: Graph, S, a: int, b: int, budget: int = DEFAULT_BUDGET) -> bool:
     """K_{a,b}-minor freeness via the dominating-clique reduction: with S
     a clique dominating set of size a-1, it is equivalent to the
-    (a,b)-property of g minus S."""
+    (a,b)-property of g minus S.  For a = 1, S is empty and the check is
+    has_minor(g, K_{1,b}).  Raises BudgetExhausted when a pair runs out of
+    budget."""
     S = tuple(sorted(S))
     if len(S) != a - 1:
         raise ValueError("S must have size a-1")
@@ -291,7 +298,4 @@ def minor_free_given_apex(g: Graph, S, a: int, b: int, budget: int = DEFAULT_BUD
     rest = [v for v in range(g.n) if v not in S]
     if len(rest) != g.n - len(S):
         raise ValueError("S has repeated vertices")
-    report = ab_property(g.induced(rest), a, b, budget)
-    if VERDICT_BUDGET in report.verdicts:
-        raise BudgetExhausted("budget exhausted while deciding the reduced property")
-    return report.overall
+    return all_free(ab_property(g.induced(rest), a, b, budget).verdicts, budget)

@@ -114,7 +114,6 @@ def eigen_equation_residual(g: Graph, alpha: float, res: SpectralResult) -> floa
 
 @dataclass(frozen=True)
 class QuotientMatrix:
-    partition: tuple[tuple[int, ...], ...]
     entries: tuple[tuple[float, ...], ...]  # class-by-class average row sums
     equitable: bool
 
@@ -150,7 +149,7 @@ def quotient(g: Graph, alpha: float, partition) -> QuotientMatrix:
                 val += alpha * sum(g.degree(v) for v in classes[i]) / len(classes[i])
             row.append(val)
         entries.append(tuple(row))
-    return QuotientMatrix(tuple(classes), tuple(entries), equitable)
+    return QuotientMatrix(tuple(entries), equitable)
 
 
 def quotient_radius_check(g: Graph, alpha: float, partition):

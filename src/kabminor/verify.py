@@ -25,8 +25,6 @@ import numpy as np
 
 from . import extremal as ex
 from .graphs import (
-    CLAUSE_STAR_FOREST,
-    CLAUSE_SUBDIVIDED,
     clique_with_pendants,
     complete,
     disjoint_union,
@@ -425,8 +423,8 @@ def _check_double_eigenvector() -> CheckOutcome:
 
 def check_theorem_small_n(a: int, b: int, n_range, alphas=None) -> CheckOutcome:
     """Exhaustive search over the internal corpus versus the clause
-    prediction.  Asserted for a = 1 in regimes with no large-order
-    caveat; reported (inconclusive on disagreement) otherwise."""
+    prediction.  Asserted where the prediction carries no caveat;
+    reported (inconclusive on disagreement) otherwise."""
     failures = []
     notes = []
     inconclusive = False
@@ -437,15 +435,11 @@ def check_theorem_small_n(a: int, b: int, n_range, alphas=None) -> CheckOutcome:
             if pred.graph is None:
                 notes.append(f"n={n},alpha={alpha}:outside ({pred.caveat})")
                 continue
-            constraint = (f"star-minor-free:{b}" if a == 1 else f"kab-minor-free:{a},{b}")
-            rep = ex.search_max(corpus, constraint, alpha,
+            rep = ex.search_max(corpus, f"kab-minor-free:{a},{b}", alpha,
                                 corpus_source=f"internal:n={n}", prediction=pred)
-            asserted = a == 1 and (pred.clause == CLAUSE_STAR_FOREST
-                                   or (pred.clause == CLAUSE_SUBDIVIDED and b == 3)
-                                   or (pred.clause == CLAUSE_SUBDIVIDED and alpha >= 2 / (b + 1)))
             if not rep.prediction_agrees or len(rep.maximizers) != 1:
                 tag = f"n={n},alpha={alpha}:maximizers={list(rep.maximizers)}"
-                if asserted:
+                if not pred.caveat:
                     failures.append(tag)
                 else:
                     inconclusive = True

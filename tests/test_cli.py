@@ -14,6 +14,7 @@ from kabminor.cli import (
     main,
     parse_family_spec,
 )
+from kabminor.extremal import predict
 from kabminor.graphs import complete, cycle, petersen, star_forest
 
 
@@ -99,6 +100,16 @@ def test_construct_dot(capsys):
     code, out, _ = run(capsys, "construct", "P:3", "--dot", "--format", "json")
     assert code == EXIT_OK
     assert "graph" in json.loads(out)["dot"]
+    # construct extremal emits the predicted graph's DOT, or null when the
+    # clause builds no graph
+    code, out, _ = run(capsys, "construct", "extremal", "--a", "1", "--b", "3",
+                       "--n", "6", "--dot", "--format", "json")
+    data = json.loads(out)
+    assert code == EXIT_OK and data["dot"] == predict(1, 3, 6, 0.0).graph.to_dot()
+    code, out, _ = run(capsys, "construct", "extremal", "--a", "1", "--b", "4",
+                       "--n", "6", "--alpha", "0.1", "--dot", "--format", "json")
+    data = json.loads(out)
+    assert code == EXIT_OK and data["graph6"] is None and data["dot"] is None
 
 
 def test_lambda_regular(capsys):
@@ -165,6 +176,17 @@ def test_search_corpus_file(capsys, tmp_path):
     data = json.loads(out)
     assert data["corpus"]["source"] == str(f)
     assert abs(data["lambda_max"] - 2.0) < 1e-9  # K4 violates the constraint
+
+
+def test_search_corpus_reads_n_for_a_prediction(capsys, tmp_path):
+    f = tmp_path / "c.g6"
+    f.write_text(cycle(5).to_graph6() + "\n" + complete(4).to_graph6() + "\n")
+    code, out, _ = run(capsys, "search", "--constraint", "star-minor-free:3",
+                       "--corpus", str(f), "--n", "5", "--a", "1", "--b", "3",
+                       "--alpha", "0.5", "--format", "json")
+    data = json.loads(out)
+    assert code == EXIT_OK and data["config"]["n"] == 5
+    assert data["prediction"]["agrees"] is True
 
 
 def test_search_unreadable_corpus_is_usage_error(capsys, tmp_path):
@@ -280,10 +302,18 @@ def test_verify_b_outside_lemma_updown_is_usage_error(capsys):
     ["search", "--n", "6", "--constraint", "star-minor-free:3", "--a", "1"],
     ["construct", "K:4", "--a", "1", "--n", "9"],
     ["construct", "C:5", "--b", "3"],
+    ["search", "--corpus", "CORPUS", "--n", "5", "--all-graphs",
+     "--constraint", "star-minor-free:4"],
+    ["search", "--corpus", "CORPUS", "--all-graphs", "--constraint", "star-minor-free:4"],
+    ["search", "--corpus", "CORPUS", "--n", "5", "--constraint", "star-minor-free:4"],
 ])
-def test_options_without_effect_are_usage_errors(capsys, argv):
-    # a prediction needs all of --a, --b and --n, and construct reads
-    # them only for 'extremal'
+def test_options_without_effect_are_usage_errors(capsys, tmp_path, argv):
+    # a prediction needs all of --a, --b and --n, construct reads them
+    # only for 'extremal', and a --corpus search never reads --all-graphs
+    # and reads --n only for a prediction
+    corpus = tmp_path / "k4.g6"
+    corpus.write_text(complete(4).to_graph6() + "\n")
+    argv = [str(corpus) if x == "CORPUS" else x for x in argv]
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
 

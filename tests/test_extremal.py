@@ -88,6 +88,16 @@ def test_canonical_form_matches_networkx_oracle():
         assert same == nx.is_isomorphic(to_nx(gi), to_nx(gj))
 
 
+def test_canonical_form_order_bounds():
+    # the empty graph has its own code, and orders above 10 are refused
+    empty = Graph(0, ())
+    assert canonical_form(empty) == b"\x00"
+    assert canonical_graph(empty) == empty
+    for fn in (canonical_form, canonical_graph):
+        with pytest.raises(ValueError, match="up to n = 10"):
+            fn(cycle(11))
+
+
 def test_canonical_form_random_permutations():
     rng = np.random.default_rng(8)
     for g in [petersen_complement(), subdivided_clique(6, 3),
@@ -349,8 +359,8 @@ def test_star_constraints_are_budgeted():
 
 
 def test_predict_star_budget_raises(monkeypatch):
-    monkeypatch.setattr(extremal, "star_minor_free",
-                        functools.partial(minors.star_minor_free, budget=5))
+    monkeypatch.setattr(extremal, "minor_free_given_apex",
+                        functools.partial(minors.minor_free_given_apex, budget=5))
     with pytest.raises(RuntimeError, match="budget"):
         predict(1, 5, 12, 0.5)
 

@@ -1,6 +1,7 @@
 """Graph core: constructions, edit operations, graph6 codec."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -231,14 +232,26 @@ def test_graph6_known_values():
         from_graph6("C\x1f")  # out-of-range character
     with pytest.raises(ValueError):
         from_graph6("")
+    for truncated in ("~", "~??"):  # long-form order field needs 3 chars
+        with pytest.raises(ValueError, match="truncated"):
+            from_graph6(truncated)
+
+
+def _random_graph(n: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3])
 
 
 def test_graph6_matches_networkx():
+    # orders from 63 on take the '~' long-form header
+    long_form = [_random_graph(n, n) for n in (63, 64, 100, 300)]
     for g in [petersen(), cycle(7), star(5), subdivided_clique(5, 2),
-              disjoint_union([complete(3), complete(2)])]:
+              disjoint_union([complete(3), complete(2)])] + long_form:
         ours = g.to_graph6()
         theirs = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
         assert ours == theirs
+        assert from_graph6(ours).rows == g.rows
+    assert all(g.to_graph6().startswith("~") for g in long_form)
 
 
 @settings(max_examples=60, deadline=None)

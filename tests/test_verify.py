@@ -1,17 +1,19 @@
 """Verification suites: statuses, margins, artifacts, reproducibility."""
 
+import dataclasses
 import json
 import types
 
 import numpy as np
 import pytest
 
-from kabminor import verify
+from kabminor import extremal, verify
 from kabminor.graphs import (
     complete,
     disjoint_union,
     f_graph,
     join,
+    path_graph,
     pendant_matching_graph,
     subdivided_clique,
 )
@@ -178,6 +180,25 @@ def test_theorem_small_n_outside_noted():
     # alpha below the window: prediction abstains, noted not failed
     assert out.status == STATUS_PASS
     assert any("outside" in n for n in out.notes)
+
+
+def test_theorem_small_n_disagreement_asserted_without_caveat(monkeypatch):
+    # each prediction's graph is swapped for a path, which is minor free
+    # but no maximizer: a caveat-free prediction fails with the search's
+    # maximizers, a caveated one is reported and left inconclusive
+    real = extremal.predict
+    monkeypatch.setattr(extremal, "predict", lambda a, b, n, alpha: dataclasses.replace(
+        real(a, b, n, alpha), graph=path_graph(n)))
+    for a, b, n, status in ((1, 3, 5, STATUS_FAIL), (2, 3, 6, STATUS_INCONCLUSIVE)):
+        assert (real(a, b, n, 0.5).caveat == "") == (status == STATUS_FAIL)
+        rep = extremal.search_max(extremal.enumerate_graphs(n, True), f"kab-minor-free:{a},{b}", 0.5)
+        tag = f"n={n},alpha=0.5:maximizers={list(rep.maximizers)}"
+        out = check_theorem_small_n(a, b, [n], alphas=(0.5,))
+        assert out.status == status
+        if status == STATUS_FAIL:
+            assert out.artifacts == (tag,) and out.notes == ()
+        else:
+            assert out.artifacts == () and out.notes == ("report-only disagreement " + tag,)
 
 
 def test_suite_registry_and_unknown():
