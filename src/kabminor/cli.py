@@ -290,7 +290,7 @@ def cmd_search(args) -> int:
     else:
         if args.n is None:
             raise SpecError("search needs --n (internal corpus) or --corpus FILE")
-        corpus = ex.enumerate_graphs(args.n, connected_only=not args.all_graphs)
+        corpus = ex.InternalCorpus(args.n, connected_only=not args.all_graphs)
         source = f"internal:n={args.n}"
     prediction = None
     if (args.a, args.b) != (None, None):

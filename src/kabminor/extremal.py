@@ -11,7 +11,14 @@ searched only when the added vertex lies in the first cell of its
 stable partition, and the children are deduplicated by canonical form.
 That first cell is an isomorphism-invariant set of minimum-degree
 vertices, so deleting any of its vertices gives a parent that reaches
-the class (see enumerate_graphs).
+the class (see _extend).
+
+Every search constraint (star-minor-free, kab-minor-free, ab-property)
+is minor-closed, hence closed under vertex deletion: a graph fails it
+whenever one of its vertex-deleted subgraphs does.  survivors()
+therefore filters the internal corpus (InternalCorpus) while generating
+it, McKay's hereditary pruning: it walks the orders 1..n and extends
+only the graphs that passed or were undecided at the order below.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import itertools
 import json
 import multiprocessing as mp
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import minors
@@ -220,42 +228,72 @@ def _augmentation_masks(g: Graph):
             yield mask
 
 
-def enumerate_graphs(n: int, connected_only: bool = False):
-    """All graphs of order n up to isomorphism (internal enumerator,
-    n <= 8), in canonical-form order.
-
-    Each graph of order n - 1 is extended by one vertex.  Only masks that
-    give the new vertex n - 1 minimum degree in the child are tried, and
-    of those one per twin-swap orbit of the parent (see
-    _augmentation_masks).  A child is kept only when n - 1 lies in the
-    first cell of its stable partition (_stable_partition).  That cell is
-    a nonempty isomorphism-invariant set of minimum-degree vertices, so
-    every graph G of order n is reached: deleting any vertex v of its
-    first cell leaves a graph isomorphic to a parent, and the child that
-    restores v (up to a twin swap of the parent) maps v to n - 1 under an
-    isomorphism, which carries the first cell to the first cell.  Kept
-    children are searched from that partition, deduplicated by canonical
-    code and stored canonically labelled."""
+def _check_order(n: int):
     if not 1 <= n <= ENUMERATE_MAX_N:
         raise ValueError(f"internal enumerator handles 1 <= n <= {ENUMERATE_MAX_N}")
+
+
+def _extend(parents, n: int) -> list[Graph]:
+    """The graphs of order n that extend the order-(n - 1) graphs parents
+    by one vertex, one per isomorphism class, canonically labelled and in
+    canonical-code order.
+
+    Only masks that give the new vertex n - 1 minimum degree in the child
+    are tried, and of those one per twin-swap orbit of the parent (see
+    _augmentation_masks).  A child is kept only when n - 1 lies in the
+    first cell of its stable partition (_stable_partition).  That cell is
+    a nonempty isomorphism-invariant set of minimum-degree vertices, so a
+    graph G of order n is reached whenever parents holds G - v for some
+    (hence every) vertex v of its first cell, up to isomorphism: the
+    child that restores v (up to a twin swap of the parent) maps v to
+    n - 1 under an isomorphism, which carries the first cell to the first
+    cell.  Kept children are searched from that partition, deduplicated
+    by canonical code and stored canonically labelled, so the graph kept
+    for a code does not depend on which parent produced it."""
+    seen: dict[bytes, Graph] = {}
+    for g in parents:
+        for mask in _augmentation_masks(g):
+            rows = tuple(r | (mask >> v & 1) << (n - 1) for v, r in enumerate(g.rows)) + (mask,)
+            cells = _stable_partition(rows)
+            if n - 1 in cells[0]:
+                code, lab = _canonical_search(rows, cells)
+                if code not in seen:
+                    seen[code] = _relabelled(rows, lab)
+    return [seen[c] for c in sorted(seen)]
+
+
+def enumerate_graphs(n: int, connected_only: bool = False):
+    """All graphs of order n up to isomorphism (internal enumerator,
+    n <= 8), in canonical-form order: _extend over every graph of order
+    n - 1, cached per order."""
+    _check_order(n)
     if n not in _ENUM_CACHE:
-        if n == 1:
-            _ENUM_CACHE[1] = [Graph(1, (0,))]
-        else:
-            seen: dict[bytes, Graph] = {}
-            for g in enumerate_graphs(n - 1):
-                for mask in _augmentation_masks(g):
-                    rows = tuple(r | (mask >> v & 1) << (n - 1) for v, r in enumerate(g.rows)) + (mask,)
-                    cells = _stable_partition(rows)
-                    if n - 1 in cells[0]:
-                        code, lab = _canonical_search(rows, cells)
-                        if code not in seen:
-                            seen[code] = _relabelled(rows, lab)
-            _ENUM_CACHE[n] = [seen[c] for c in sorted(seen)]
+        _ENUM_CACHE[n] = [Graph(1, (0,))] if n == 1 else _extend(enumerate_graphs(n - 1), n)
     out = _ENUM_CACHE[n]
     if connected_only:
         out = [g for g in out if g.is_connected()]
     return list(out)
+
+
+@dataclass(frozen=True)
+class InternalCorpus:
+    """The internal corpus of order n (connected graphs only when
+    connected_only) as a value: survivors() filters it while generating
+    it.  Its len is the pinned count and iterating it gives
+    enumerate_graphs(n, connected_only)."""
+
+    n: int
+    connected_only: bool = False
+
+    def __post_init__(self):
+        _check_order(self.n)
+
+    def __len__(self) -> int:
+        counts = CONNECTED_GRAPH_COUNTS if self.connected_only else GRAPH_COUNTS
+        return counts[self.n - 1]
+
+    def __iter__(self):
+        return iter(enumerate_graphs(self.n, self.connected_only))
 
 
 def ingest_graph6(path: str):
@@ -281,6 +319,7 @@ def ingest_graph6(path: str):
 CAVEAT_LARGE_N = "theorem requires large n"
 CAVEAT_ALPHA_WINDOW = "alpha below 2/(b+1) open for b >= 4"
 CAVEAT_ORDER_TOO_SMALL = "order too small for the clause construction"
+CAVEAT_SMALL_B = "a = 1 clauses need b >= 3"
 
 
 @dataclass(frozen=True)
@@ -294,6 +333,8 @@ class ExtremalPrediction:
 def _select_clause(p: FamilyParams, alpha: float):
     a, b = p.a, p.b
     if a == 1:
+        if b <= 2:
+            return CLAUSE_OUTSIDE, CAVEAT_SMALL_B
         if p.n == b + 1:
             return CLAUSE_STAR_FOREST, ""
         if b == 3 or alpha >= 2 / (b + 1):
@@ -407,38 +448,80 @@ class SearchReport:
         )
 
 
-def _pmap(fn, items, jobs: int):
-    """[fn(x) for x in items], over a fork pool when more than one worker
-    is useful: jobs, capped by the item count and the CPU count.  Results
-    are in item order either way."""
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+@contextmanager
+def _mapper(jobs: int, count: int):
+    """A map(fn, items) -> list over one fork pool when more than one
+    worker is useful for count items: jobs, capped by count and the CPU
+    count.  Results are in item order either way."""
+    workers = min(jobs, count, os.cpu_count() or 1)
     if workers > 1:
         with mp.get_context("fork").Pool(workers) as pool:
-            return pool.map(fn, items)
-    return [fn(x) for x in items]
+            yield pool.map
+    else:
+        yield lambda fn, items: [fn(x) for x in items]
+
+
+def _pmap(fn, items, jobs: int):
+    """[fn(x) for x in items], over a pool of _mapper's size."""
+    with _mapper(jobs, len(items)) as pmap:
+        return pmap(fn, items)
+
+
+def _verdicts(graphs, constraint: str, budget: int):
+    """Per graph: whether it satisfies the constraint, or None when its
+    check ran out of budget."""
+    name, args = parse_constraint(constraint)
+    out = []
+    for g in graphs:
+        try:
+            out.append(_check_constraint(g, name, args, budget))
+        except BudgetExhausted:
+            out.append(None)
+    return out
+
+
+def _check_all(graphs, constraint: str, budget: int, jobs: int, pmap):
+    """_verdicts over graphs cut into contiguous slices, about four per
+    job, mapped by pmap and joined in order."""
+    size = -(-len(graphs) // (4 * jobs)) or 1
+    slices = [graphs[i:i + size] for i in range(0, len(graphs), size)]
+    check = functools.partial(_verdicts, constraint=constraint, budget=budget)
+    return [v for part in pmap(check, slices) for v in part]
 
 
 def survivors(corpus, constraint: str, budget: int = minors.DEFAULT_BUDGET, jobs: int = 1):
     """(passing, undecided): the corpus graphs that satisfy the constraint
-    and those whose check ran out of budget, each in corpus order.  With
-    jobs > 1 the corpus is cut into contiguous slices that one pool filters,
-    and the slices' lists are joined in order, so results are independent
-    of jobs."""
-    name, args = parse_constraint(constraint)
-    graphs = list(corpus)
-    if jobs > 1:
-        size = -(-len(graphs) // (4 * jobs)) or 1
-        slices = [graphs[i:i + size] for i in range(0, len(graphs), size)]
-        parts = _pmap(functools.partial(survivors, constraint=constraint, budget=budget), slices, jobs)
-        return [g for p, _ in parts for g in p], [g for _, u in parts for g in u]
-    passing, undecided = [], []
-    for g in graphs:
-        try:
-            if _check_constraint(g, name, args, budget):
-                passing.append(g)
-        except BudgetExhausted:
-            undecided.append(g)
-    return passing, undecided
+    and those whose check ran out of budget, each in corpus order.
+
+    A list or other iterable corpus is checked graph by graph.  An
+    InternalCorpus is filtered while it is generated: at each order
+    m = 1..n the graphs are checked, and only those that passed or were
+    undecided are extended to order m + 1 (_extend).  connected_only
+    applies at order n alone.  The constraint is closed under vertex
+    deletion, so every vertex-deleted subgraph of a passing graph passes
+    or is undecided, and _extend reaches the graph: passing equals the
+    enumerated list's.  undecided holds only graphs reached that way, an
+    ordered subset of the list's.
+
+    With jobs > 1 one pool, for the whole call, checks contiguous slices,
+    and the verdicts are joined in order, so results are independent of
+    jobs."""
+    parse_constraint(constraint)
+    if isinstance(corpus, InternalCorpus):
+        with _mapper(jobs, len(corpus)) as pmap:
+            level = enumerate_graphs(1)
+            verdicts = _check_all(level, constraint, budget, jobs, pmap)
+            for m in range(2, corpus.n + 1):
+                level = _extend([g for g, v in zip(level, verdicts) if v is not False], m)
+                if m == corpus.n and corpus.connected_only:
+                    level = [g for g in level if g.is_connected()]
+                verdicts = _check_all(level, constraint, budget, jobs, pmap)
+    else:
+        level = list(corpus)
+        with _mapper(jobs, len(level)) as pmap:
+            verdicts = _check_all(level, constraint, budget, jobs, pmap)
+    return ([g for g, v in zip(level, verdicts) if v],
+            [g for g, v in zip(level, verdicts) if v is None])
 
 
 def search_max(
@@ -452,10 +535,11 @@ def search_max(
 ) -> SearchReport:
     """Filter the corpus by the minor constraint (survivors) and return
     every maximizer of the alpha spectral radius within the tie tolerance.
-    Raises BudgetAbort naming the first graph whose check ran out of
-    budget.  Results are independent of jobs."""
+    The corpus is an InternalCorpus or any iterable of graphs, and
+    corpus_size is its len.  Raises BudgetAbort naming the first graph
+    whose check ran out of budget.  Results are independent of jobs."""
     check_alpha(alpha)
-    graphs = list(corpus)
+    graphs = corpus if isinstance(corpus, InternalCorpus) else list(corpus)
     passing, undecided = survivors(graphs, constraint, budget, jobs)
     if undecided:
         raise BudgetAbort(undecided[0].to_graph6())

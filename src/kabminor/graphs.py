@@ -69,13 +69,14 @@ class Graph:
             raise ValueError("label count must equal vertex count")
 
     @classmethod
-    def _unchecked(cls, n: int, rows: tuple[int, ...]) -> "Graph":
-        """An unlabelled graph on rows that are known to be valid (derived
-        from a validated graph), built without the checks of __init__."""
+    def _unchecked(cls, n: int, rows: tuple[int, ...], labels: tuple | None = None) -> "Graph":
+        """A graph on rows and labels that are known to be valid (derived
+        from a validated graph), built without the O(n^2) checks of
+        __init__."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "rows", rows)
-        object.__setattr__(g, "labels", None)
+        object.__setattr__(g, "labels", labels)
         return g
 
     # -- basic queries -------------------------------------------------
@@ -154,7 +155,7 @@ class Graph:
                 if j is not None:
                     rows[i] |= 1 << j
         labels = tuple(self.labels[v] for v in verts) if self.labels else None
-        return Graph(len(verts), tuple(rows), labels)
+        return Graph._unchecked(len(verts), tuple(rows), labels)
 
     def induced_mask(self, mask: int) -> "Graph":
         return self.induced(list(_bits(mask)))
@@ -173,7 +174,7 @@ class Graph:
             for v in range(self.n):
                 lab[perm[v]] = self.labels[v]
             labels = tuple(lab)
-        return Graph(self.n, tuple(rows), labels)
+        return Graph._unchecked(self.n, tuple(rows), labels)
 
     # -- edit operations (all return new graphs) -----------------------
 
@@ -200,7 +201,7 @@ class Graph:
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         rows = tuple((full & ~r & ~(1 << v)) for v, r in enumerate(self.rows))
-        return Graph(self.n, rows, self.labels)
+        return Graph._unchecked(self.n, rows, self.labels)
 
     # -- serialization -------------------------------------------------
 

@@ -257,7 +257,7 @@ def _check_edge_bound_star(b: int, n_range, budget: int) -> CheckOutcome:
     for n in n_range:
         bound = b * (b - 1) // 2 + n - b
         best = -1
-        passing, undecided = ex.survivors(ex.enumerate_graphs(n, connected_only=True),
+        passing, undecided = ex.survivors(ex.InternalCorpus(n, connected_only=True),
                                           f"star-minor-free:{b}", budget)
         inconclusive = inconclusive or bool(undecided)
         for g in passing:
@@ -286,7 +286,7 @@ def _check_edge_max_property(a: int, b: int, budget: int) -> CheckOutcome:
     notes = []
     best = -1
     maximizers = []
-    passing, undecided = ex.survivors(ex.enumerate_graphs(b + 1, connected_only=True),
+    passing, undecided = ex.survivors(ex.InternalCorpus(b + 1, connected_only=True),
                                       f"ab-property:{a},{b}", budget)
     for g in passing:
         if g.e > best:
@@ -429,7 +429,7 @@ def check_theorem_small_n(a: int, b: int, n_range, alphas=None) -> CheckOutcome:
     notes = []
     inconclusive = False
     for n in n_range:
-        corpus = ex.enumerate_graphs(n, connected_only=True)
+        corpus = ex.InternalCorpus(n, connected_only=True)
         for alpha in alphas if alphas is not None else alpha_grid(b):
             pred = ex.predict(a, b, n, alpha)
             if pred.graph is None:

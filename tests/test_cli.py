@@ -70,6 +70,15 @@ def test_construct_extremal_outside(capsys):
     assert data["graph6"] is None and "alpha" in data["caveat"]
 
 
+def test_construct_extremal_a1_small_b_is_outside(capsys):
+    code, out, _ = run(capsys, "construct", "extremal", "--a", "1", "--b", "2",
+                       "--n", "5", "--alpha", "0.7", "--format", "json")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["graph6"] is None and data["clause"] == "outside-theorem"
+    assert data["caveat"] == "a = 1 clauses need b >= 3"
+
+
 def test_construct_extremal_missing_args(capsys):
     code, _, err = run(capsys, "construct", "extremal")
     assert code == EXIT_USAGE and "error" in err
@@ -228,6 +237,9 @@ def test_search_budget_abort(capsys, tmp_path):
 def test_search_usage_errors(capsys):
     code, _, err = run(capsys, "search", "--constraint", "star-minor-free:3")
     assert code == EXIT_USAGE
+    for n in ("9", "0"):
+        code, out, err = run(capsys, "search", "--constraint", "star-minor-free:3", "--n", n)
+        assert code == EXIT_USAGE and out == "" and "1 <= n <= 8" in err
     code, _, _ = run(capsys, "search", "--n", "5")
     assert code == EXIT_USAGE  # missing --constraint
 

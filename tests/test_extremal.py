@@ -14,8 +14,10 @@ import pytest
 from kabminor import extremal, minors
 from kabminor.extremal import (
     BudgetAbort,
+    CAVEAT_SMALL_B,
     CONNECTED_GRAPH_COUNTS,
     GRAPH_COUNTS,
+    InternalCorpus,
     _refine,
     _stable_partition,
     canonical_form,
@@ -247,6 +249,16 @@ def test_predict_outside_clauses():
     assert p.clause == CLAUSE_APEX_F_BLOCK
 
 
+def test_predict_a1_small_b_is_outside():
+    # no a = 1 clause covers b <= 2, at any alpha or order
+    for b in (1, 2):
+        for n in (b + 1, 5):
+            for alpha in (0.3, 0.7):
+                p = predict(1, b, n, alpha)
+                assert p.clause == CLAUSE_OUTSIDE and p.graph is None
+                assert p.caveat == CAVEAT_SMALL_B
+
+
 def test_predict_large_n_caveat():
     assert predict(2, 3, 8, 0.3).caveat != ""
     assert predict(1, 3, 8, 0.3).caveat == ""
@@ -345,6 +357,96 @@ def test_survivors_split_in_corpus_order_across_jobs():
     free = [g for g in corpus if minors.has_minor(g, minors.complete_bipartite(2, 3)).verdict == "free"]
     assert survivors(corpus, "kab-minor-free:2,3") == (free, [])
     assert set(passing) <= set(free)
+
+
+def test_internal_corpus_is_the_enumeration():
+    for n in range(1, 9):
+        for connected in (False, True):
+            corpus = InternalCorpus(n, connected)
+            counts = CONNECTED_GRAPH_COUNTS if connected else GRAPH_COUNTS
+            assert len(corpus) == counts[n - 1]
+            assert list(corpus) == enumerate_graphs(n, connected)
+    for n in (0, 9):
+        with pytest.raises(ValueError):
+            InternalCorpus(n)
+
+
+WALK_CONSTRAINTS = [f"star-minor-free:{b}" for b in range(1, 8)] + [
+    "kab-minor-free:2,3", "kab-minor-free:2,4", "ab-property:2,4"]
+
+
+def _connected_part(pair):
+    return tuple([g for g in part if g.is_connected()] for part in pair)
+
+
+@pytest.mark.parametrize("constraint", WALK_CONSTRAINTS)
+def test_walk_matches_list_filter(constraint):
+    # the list filter is per graph, so its connected result is its full
+    # result restricted to connected graphs
+    for n in range(1, 8):
+        full = survivors(enumerate_graphs(n), constraint)
+        expected = {False: full, True: _connected_part(full)}
+        for connected in (False, True):
+            for jobs in (1, 2):
+                assert survivors(InternalCorpus(n, connected), constraint, jobs=jobs) \
+                    == expected[connected], (n, connected, jobs)
+
+
+@pytest.mark.parametrize("b", range(3, 9))
+def test_walk_matches_list_filter_order_eight(b):
+    # the corpus of search --n 8; the unconnected walk differs only in
+    # its last filter
+    constraint = f"star-minor-free:{b}"
+    assert survivors(InternalCorpus(8, True), constraint) \
+        == survivors(enumerate_graphs(8, True), constraint)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 50])
+def test_walk_under_starved_budget(budget):
+    # a starved check may leave a graph undecided in the list although
+    # its parent was found to contain the pattern, so the walk never
+    # reaches it: undecided shrinks, in corpus order, and passing holds
+    for constraint in ("star-minor-free:4", "kab-minor-free:2,3", "kab-minor-free:2,4",
+                       "ab-property:2,4"):
+        for n in (6, 7):
+            passing, undecided = survivors(enumerate_graphs(n), constraint, budget)
+            walked, walked_undecided = survivors(InternalCorpus(n), constraint, budget)
+            assert walked == passing
+            reached = set(walked_undecided)
+            assert [g for g in undecided if g in reached] == walked_undecided
+
+
+def test_walk_uses_one_pool(monkeypatch):
+    # a fake pool records its size and maps serially, so no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    expected = survivors(InternalCorpus(6, True), "kab-minor-free:2,3")
+    monkeypatch.setattr(extremal.mp, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(extremal.os, "cpu_count", lambda: 4)
+    assert survivors(InternalCorpus(6, True), "kab-minor-free:2,3", jobs=3) == expected
+    assert sizes == [3]
+
+
+def test_search_internal_corpus_matches_list():
+    pred = predict(1, 4, 7, 0.5)
+    for connected in (False, True):
+        walked = search_max(InternalCorpus(7, connected), "star-minor-free:4", 0.5, prediction=pred)
+        listed = search_max(enumerate_graphs(7, connected), "star-minor-free:4", 0.5, prediction=pred)
+        assert walked.to_json() == listed.to_json()
+        assert walked.corpus_size == len(InternalCorpus(7, connected))
 
 
 def test_star_constraints_are_budgeted():

@@ -278,3 +278,30 @@ def test_relabel_and_induced():
     assert iso(g, h) and h.has_edge(3, 2)
     sub = g.induced([1, 2])
     assert sub.n == 2 and sub.e == 1
+
+
+def test_derived_graphs_equal_validated_constructions():
+    # induced, induced_mask, complement and relabel skip the symmetry
+    # check; each result must equal an independent validated construction
+    from kabminor.extremal import enumerate_graphs
+
+    labelled = [star(3), join(complete(1), star(2))]
+    for g in [h for n in range(1, 8) for h in enumerate_graphs(n)] + labelled:
+        n, edges = g.n, g.edges()
+        labels = g.labels or [None] * n
+        non_edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)]
+        assert g.complement() == Graph(n, from_edges(n, non_edges).rows, g.labels)
+        perm = [(n - v) % n for v in range(n)]
+        moved = [None] * n
+        for v in range(n):
+            moved[perm[v]] = labels[v]
+        assert g.relabel(perm) == from_edges(n, [(perm[u], perm[v]) for u, v in edges],
+                                             moved if g.labels else None)
+        verts = list(range(n - 1, -1, -2))
+        pos = {v: i for i, v in enumerate(verts)}
+        sub = from_edges(len(verts), [(pos[u], pos[v]) for u, v in edges if u in pos and v in pos],
+                         [labels[v] for v in verts] if g.labels else None)
+        assert g.induced(verts) == sub
+        assert g.induced_mask(sum(1 << v for v in verts)) == sub.relabel(list(range(len(verts)))[::-1])
+        for h in (g.complement(), g.relabel(perm), g.induced(verts)):
+            assert Graph(h.n, h.rows, h.labels) == h
