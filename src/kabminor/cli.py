@@ -9,6 +9,10 @@ search, --budget on minor and search, --jobs on search alone.
 
 Exit codes: 0 success/pass, 1 check failure (or minor found, for the
 minor command), 2 usage error, 3 budget-inconclusive.
+
+No graph the grammar or `construct extremal --n` builds has more than
+MAX_ORDER vertices; a larger order is a usage error, raised before the
+graph is built.
 """
 
 from __future__ import annotations
@@ -48,29 +52,40 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+MAX_ORDER = 500
+
+
 class SpecError(ValueError):
     pass
 
 
-# family name -> (argument count, constructor)
+def _capped(order: int) -> None:
+    # a ValueError, not a SpecError, so _load_graph does not retry the
+    # text as graph6: a spec that reaches the cap holds ':' or '(', which
+    # graph6 never does
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the cap of {MAX_ORDER} vertices")
+
+
+# family name -> (argument count, constructor, order from the arguments)
 _FAMILIES = {
-    "K": (1, complete),
-    "C": (1, cycle),
-    "P": (1, path_graph),
-    "E": (1, empty_graph),
-    "star": (1, star),
-    "Kst": (2, complete_bipartite),
-    "petersen": (0, petersen),
-    "petersen-complement": (0, petersen_complement),
-    "fab": (2, star_forest),
-    "fab-complement": (2, lambda a, b: star_forest(a, b).complement()),
-    "fgraph": (3, f_graph),
-    "subdivided-clique": (2, subdivided_clique),
-    "sk": (2, subdivided_clique),
-    "clique-pendants": (1, clique_with_pendants),
-    "kbe": (1, clique_with_pendants),
-    "pendant-matching": (2, pendant_matching_graph),
-    "pmg": (2, pendant_matching_graph),
+    "K": (1, complete, lambda m: m),
+    "C": (1, cycle, lambda m: m),
+    "P": (1, path_graph, lambda m: m),
+    "E": (1, empty_graph, lambda m: m),
+    "star": (1, star, lambda m: m + 1),
+    "Kst": (2, complete_bipartite, lambda r, s: r + s),
+    "petersen": (0, petersen, lambda: 10),
+    "petersen-complement": (0, petersen_complement, lambda: 10),
+    "fab": (2, star_forest, lambda a, b: b + 1),
+    "fab-complement": (2, lambda a, b: star_forest(a, b).complement(), lambda a, b: b + 1),
+    "fgraph": (3, f_graph, lambda a1, a2, a3: a1 + a2 + a3 + 3),
+    "subdivided-clique": (2, subdivided_clique, lambda b, k: b + k),
+    "sk": (2, subdivided_clique, lambda b, k: b + k),
+    "clique-pendants": (1, clique_with_pendants, lambda b: b + 2),
+    "kbe": (1, clique_with_pendants, lambda b: b + 2),
+    "pendant-matching": (2, pendant_matching_graph, lambda b, u2: b + 1),
+    "pmg": (2, pendant_matching_graph, lambda b, u2: b + 1),
 }
 
 
@@ -94,12 +109,15 @@ class _SpecParser:
             parts = self._paren_args()
             if len(parts) < 2:
                 raise SpecError("join needs at least two arguments")
+            _capped(sum(h.n for h in parts))
             g = parts[0]
             for h in parts[1:]:
                 g = join(g, h)
             return g
         if name == "union":
-            return disjoint_union(self._paren_args())
+            parts = self._paren_args()
+            _capped(sum(h.n for h in parts))
+            return disjoint_union(parts)
         if name == "complement":
             parts = self._paren_args()
             if len(parts) != 1:
@@ -107,8 +125,9 @@ class _SpecParser:
             return parts[0].complement()
         if name not in _FAMILIES:
             raise SpecError(f"unknown family {name!r}")
-        arity, ctor = _FAMILIES[name]
+        arity, ctor, order = _FAMILIES[name]
         args = self._family_args(arity)
+        _capped(order(*args))
         return ctor(*args)
 
     def _paren_args(self):
@@ -127,6 +146,7 @@ class _SpecParser:
             k = self._int()
             if k < 1:
                 raise SpecError("multiplier must be >= 1")
+            _capped(max(g.n, 1) * k)  # k copies cost k entries even when empty
             g = disjoint_union([g] * k)
         return g
 
@@ -215,6 +235,7 @@ def cmd_construct(args) -> int:
     if args.spec == "extremal":
         if args.a is None or args.b is None or args.n is None:
             raise SpecError("extremal needs --a, --b, --n")
+        _capped(args.n)
         pred = ex.predict(args.a, args.b, args.n, args.alpha)
         g = pred.graph
         payload = {"graph6": None} if g is None else _summary(g)

@@ -18,7 +18,10 @@ is minor-closed, hence closed under vertex deletion: a graph fails it
 whenever one of its vertex-deleted subgraphs does.  survivors()
 therefore filters the internal corpus (InternalCorpus) while generating
 it, McKay's hereditary pruning: it walks the orders 1..n and extends
-only the graphs that passed or were undecided at the order below.
+only the graphs that passed or were undecided at the order below.  When
+only connected graphs are wanted, the last order skips every
+augmentation whose new vertex misses a component of its parent, before
+any refinement, since that child is disconnected.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .graphs import (
     CLAUSE_SUBDIVIDED,
     FamilyParams,
     Graph,
-    _bits,
     _twin_classes,
     complete_bipartite,
     extremal_family,
@@ -83,11 +85,15 @@ def _refine(rows, cells, fresh):
     by invariant signatures only.
 
     fresh lists the masks, in cell order, of the cells that the last split
-    created (all cells for a first refinement).  Every vertex of a cell
-    has equal counts into each older cell, so a signature needs counts
-    into fresh cells only, and ordering by it orders by the counts into
-    every cell.  Counts are at most CANONICAL_MAX_N - 1, so 4 bits each
-    pack a signature into one int that sorts as the tuple would."""
+    created, less the last fragment of each split cell (all cells but the
+    last for a first refinement).  Every vertex of a cell has equal counts
+    into each older cell, so a signature needs counts into fresh cells
+    only, and ordering by it orders by the counts into every cell: a
+    vertex's count into a dropped fragment is its count into the cell that
+    split, which is equal across the vertex's cell, less its counts into
+    the kept fragments, so it separates and orders nothing the kept counts
+    do not.  Counts are at most CANONICAL_MAX_N - 1, so 4 bits each pack a
+    signature into one int that sorts as the tuple would."""
     while fresh:
         new_cells = []
         split = []
@@ -101,9 +107,9 @@ def _refine(rows, cells, fresh):
                         sig = sig << 4 | (r & m).bit_count()
                     groups.setdefault(sig, []).append(v)
                 if len(groups) > 1:
-                    for sig in sorted(groups):
-                        new_cells.append(groups[sig])
-                        split.append(_mask(groups[sig]))
+                    parts = [groups[sig] for sig in sorted(groups)]
+                    new_cells.extend(parts)
+                    split.extend(_mask(part) for part in parts[:-1])
                     continue
             new_cells.append(c)
         cells, fresh = new_cells, split
@@ -118,7 +124,7 @@ def _stable_partition(rows):
     for v, r in enumerate(rows):
         by_deg.setdefault(r.bit_count(), []).append(v)
     cells = [by_deg[d] for d in sorted(by_deg)]
-    return _refine(rows, cells, [_mask(c) for c in cells])
+    return _refine(rows, cells, [_mask(c) for c in cells[:-1]])
 
 
 def _encode(rows, lab):
@@ -155,7 +161,7 @@ def _canonical_search(rows, cells):
         for cls in _twin_classes(rows, cell):
             v = cls[0]
             split = cells[:tgt] + [[v], [u for u in cell if u != v]] + cells[tgt + 1:]
-            rec(_refine(rows, split, [1 << v, _mask(cell) ^ 1 << v]))
+            rec(_refine(rows, split, [1 << v]))
 
     rec(cells)
     return best[0], best[1]
@@ -165,10 +171,19 @@ def _relabelled(rows, lab) -> Graph:
     """The unlabelled graph with adjacency rows, relabelled so that lab[p]
     sits at position p.  rows come from a valid graph, so the relabelled
     rows are valid too and are not checked again."""
-    pos = [0] * len(lab)
+    bit = [0] * len(lab)
     for p, v in enumerate(lab):
-        pos[v] = p
-    return Graph._unchecked(len(lab), tuple(sum(1 << pos[u] for u in _bits(rows[v])) for v in lab))
+        bit[v] = 1 << p
+    out = []
+    for v in lab:
+        r = rows[v]
+        row = 0
+        while r:
+            low = r & -r
+            row |= bit[low.bit_length() - 1]
+            r ^= low
+        out.append(row)
+    return Graph._unchecked(len(lab), tuple(out))
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -233,26 +248,33 @@ def _check_order(n: int):
         raise ValueError(f"internal enumerator handles 1 <= n <= {ENUMERATE_MAX_N}")
 
 
-def _extend(parents, n: int) -> list[Graph]:
+def _extend(parents, n: int, connected_only: bool = False) -> list[Graph]:
     """The graphs of order n that extend the order-(n - 1) graphs parents
     by one vertex, one per isomorphism class, canonically labelled and in
-    canonical-code order.
+    canonical-code order; only the connected ones when connected_only.
 
     Only masks that give the new vertex n - 1 minimum degree in the child
     are tried, and of those one per twin-swap orbit of the parent (see
-    _augmentation_masks).  A child is kept only when n - 1 lies in the
-    first cell of its stable partition (_stable_partition).  That cell is
-    a nonempty isomorphism-invariant set of minimum-degree vertices, so a
-    graph G of order n is reached whenever parents holds G - v for some
-    (hence every) vertex v of its first cell, up to isomorphism: the
-    child that restores v (up to a twin swap of the parent) maps v to
-    n - 1 under an isomorphism, which carries the first cell to the first
-    cell.  Kept children are searched from that partition, deduplicated
-    by canonical code and stored canonically labelled, so the graph kept
-    for a code does not depend on which parent produced it."""
+    _augmentation_masks).  With connected_only a mask that misses a
+    component of the parent is skipped before any refinement: its child
+    is disconnected, and every connected child comes from masks that meet
+    every component, so the result is the unpruned one filtered.  A child
+    is kept only when n - 1 lies in the first cell of its stable partition
+    (_stable_partition).  That cell is a nonempty isomorphism-invariant
+    set of minimum-degree vertices, so a graph G of order n is reached
+    whenever parents holds G - v for some (hence every) vertex v of its
+    first cell, up to isomorphism: the child that restores v (up to a twin
+    swap of the parent) maps v to n - 1 under an isomorphism, which
+    carries the first cell to the first cell.  Kept children are searched
+    from that partition, deduplicated by canonical code and stored
+    canonically labelled, so the graph kept for a code does not depend on
+    which parent produced it."""
     seen: dict[bytes, Graph] = {}
     for g in parents:
+        components = g.component_masks() if connected_only else ()
         for mask in _augmentation_masks(g):
+            if any(not mask & c for c in components):
+                continue
             rows = tuple(r | (mask >> v & 1) << (n - 1) for v, r in enumerate(g.rows)) + (mask,)
             cells = _stable_partition(rows)
             if n - 1 in cells[0]:
@@ -497,7 +519,8 @@ def survivors(corpus, constraint: str, budget: int = minors.DEFAULT_BUDGET, jobs
     InternalCorpus is filtered while it is generated: at each order
     m = 1..n the graphs are checked, and only those that passed or were
     undecided are extended to order m + 1 (_extend).  connected_only
-    applies at order n alone.  The constraint is closed under vertex
+    applies at order n alone, where _extend skips the augmentations that
+    give a disconnected child.  The constraint is closed under vertex
     deletion, so every vertex-deleted subgraph of a passing graph passes
     or is undecided, and _extend reaches the graph: passing equals the
     enumerated list's.  undecided holds only graphs reached that way, an
@@ -512,9 +535,8 @@ def survivors(corpus, constraint: str, budget: int = minors.DEFAULT_BUDGET, jobs
             level = enumerate_graphs(1)
             verdicts = _check_all(level, constraint, budget, jobs, pmap)
             for m in range(2, corpus.n + 1):
-                level = _extend([g for g, v in zip(level, verdicts) if v is not False], m)
-                if m == corpus.n and corpus.connected_only:
-                    level = [g for g in level if g.is_connected()]
+                level = _extend([g for g, v in zip(level, verdicts) if v is not False], m,
+                                connected_only=corpus.connected_only and m == corpus.n)
                 verdicts = _check_all(level, constraint, budget, jobs, pmap)
     else:
         level = list(corpus)
@@ -534,13 +556,26 @@ def search_max(
     prediction: ExtremalPrediction | None = None,
 ) -> SearchReport:
     """Filter the corpus by the minor constraint (survivors) and return
-    every maximizer of the alpha spectral radius within the tie tolerance.
-    The corpus is an InternalCorpus or any iterable of graphs, and
-    corpus_size is its len.  Raises BudgetAbort naming the first graph
-    whose check ran out of budget.  Results are independent of jobs."""
+    every maximizer of the alpha spectral radius within the tie tolerance
+    (rank_survivors).  The corpus is an InternalCorpus or any iterable of
+    graphs, and corpus_size is its len.  Raises BudgetAbort naming the
+    first graph whose check ran out of budget.  Results are independent
+    of jobs."""
     check_alpha(alpha)
     graphs = corpus if isinstance(corpus, InternalCorpus) else list(corpus)
-    passing, undecided = survivors(graphs, constraint, budget, jobs)
+    found = survivors(graphs, constraint, budget, jobs)
+    return rank_survivors(found, constraint, alpha, corpus_source, len(graphs), prediction)
+
+
+def rank_survivors(found, constraint: str, alpha: float, corpus_source: str,
+                   corpus_size: int, prediction: ExtremalPrediction | None = None) -> SearchReport:
+    """The ranking half of search_max: the report on the corpus whose
+    survivors() are found = (passing, undecided), ranked at alpha.  An
+    alpha-independent filter can thus run once for several alphas.
+    Raises BudgetAbort naming the first undecided graph, and ValueError
+    when nothing passed."""
+    check_alpha(alpha)
+    passing, undecided = found
     if undecided:
         raise BudgetAbort(undecided[0].to_graph6())
     if not passing:
@@ -561,7 +596,7 @@ def search_max(
     return SearchReport(
         constraint,
         corpus_source,
-        len(graphs),
+        corpus_size,
         len(passing),
         alpha,
         lam_max,

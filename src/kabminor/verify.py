@@ -428,15 +428,18 @@ def check_theorem_small_n(a: int, b: int, n_range, alphas=None) -> CheckOutcome:
     failures = []
     notes = []
     inconclusive = False
+    constraint = f"kab-minor-free:{a},{b}"
     for n in n_range:
         corpus = ex.InternalCorpus(n, connected_only=True)
+        found = None  # survivors, filtered once per order and only if ranked
         for alpha in alphas if alphas is not None else alpha_grid(b):
             pred = ex.predict(a, b, n, alpha)
             if pred.graph is None:
                 notes.append(f"n={n},alpha={alpha}:outside ({pred.caveat})")
                 continue
-            rep = ex.search_max(corpus, f"kab-minor-free:{a},{b}", alpha,
-                                corpus_source=f"internal:n={n}", prediction=pred)
+            if found is None:
+                found = ex.survivors(corpus, constraint)
+            rep = ex.rank_survivors(found, constraint, alpha, f"internal:n={n}", len(corpus), pred)
             if not rep.prediction_agrees or len(rep.maximizers) != 1:
                 tag = f"n={n},alpha={alpha}:maximizers={list(rep.maximizers)}"
                 if not pred.caveat:

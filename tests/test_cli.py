@@ -1,5 +1,7 @@
 """CLI surface: grammar, subcommands, exit codes, output formats."""
 
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -10,12 +12,14 @@ from kabminor.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_ORDER,
     SpecError,
+    _FAMILIES,
     main,
     parse_family_spec,
 )
 from kabminor.extremal import predict
-from kabminor.graphs import complete, cycle, petersen, star_forest
+from kabminor.graphs import Graph, complete, cycle, petersen, star_forest
 
 
 def run(capsys, *argv):
@@ -373,3 +377,78 @@ def test_lambda_config_lists_only_settings_read(capsys):
     assert code == EXIT_OK
     assert json.loads(out)["config"] == {"alpha": 0.0, "command": "lambda",
                                          "format": "json", "version": __version__}
+
+
+# sha256 of the stdout of `search --n 8 --constraint star-minor-free:b --a 1
+# --b b --alpha 0.5 --format json`, recorded before the walk skipped
+# disconnected last-order children and trimmed its refinement signatures
+SEARCH_N8_DIGESTS = {
+    3: "af178feb67bf484f31ca8203b4f40711f1eec843fc3567a4517ccd90e383fdca",
+    4: "5dd689a7a94d67aa9a3c7ea13f626b1f9b4af870c492f125f229f479a56b02ad",
+    5: "7838447d43316d9ac9c569d7a2282ecb7b9b120b57dd1ea0f0cb3faf4b9d7bb3",
+    6: "9bcae4bef58220038a39f42bc3b1405b6f7e8084756af0d0120775c3b15afc18",
+    7: "3dc93e959bad5e428348173d473a3117eb331d09be8a55ccc6716107cb73de6d",
+    8: "7bceb544c8d61b7eeb755c77ab0bf60e3eaa956b9297a03ddb602ba9afa4edfe",
+}
+
+
+@pytest.mark.parametrize("b", sorted(SEARCH_N8_DIGESTS))
+def test_search_n8_reports_are_pinned(capsys, b):
+    code, out, _ = run(capsys, "search", "--n", "8", "--constraint", f"star-minor-free:{b}",
+                       "--a", "1", "--b", str(b), "--alpha", "0.5", "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_N8_DIGESTS[b]
+
+
+@pytest.fixture
+def built_orders(monkeypatch):
+    """The order of every Graph constructed while the test runs."""
+    orders = []
+    check = Graph.__post_init__
+
+    def record(self):
+        orders.append(self.n)
+        check(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", record)
+    return orders
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", f"K:{MAX_ORDER + 1}"),
+    ("construct", f"E:{MAX_ORDER + 1}"),
+    ("construct", f"star:{MAX_ORDER}"),
+    ("construct", f"Kst:{MAX_ORDER // 2},{MAX_ORDER // 2 + 1}"),
+    ("construct", f"fgraph:{MAX_ORDER // 2},{MAX_ORDER // 2},1"),
+    ("construct", f"union(K:2*{MAX_ORDER // 2 + 1})"),
+    ("construct", f"union(E:0*{MAX_ORDER + 1})"),
+    ("construct", f"union(K:{MAX_ORDER // 2},K:{MAX_ORDER // 2 + 1})"),
+    ("construct", f"join(K:{MAX_ORDER // 2},K:{MAX_ORDER // 2 + 1})"),
+    ("construct", f"complement(union(K:{MAX_ORDER},K:1))"),
+    ("construct", "extremal", "--a", "1", "--b", "8", "--n", str(MAX_ORDER + 1)),
+    ("lambda", f"C:{MAX_ORDER + 1}"),
+    ("minor", "K:3", f"K:{MAX_ORDER + 1}"),
+])
+def test_orders_above_the_cap_are_usage_errors(capsys, built_orders, argv):
+    # rejected before the graph over the cap is built: nothing larger than
+    # the cap is ever constructed
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == "" and "exceeds the cap" in err
+    assert max(built_orders, default=0) <= MAX_ORDER
+
+
+def test_orders_at_the_cap_build(capsys):
+    for spec in (f"E:{MAX_ORDER}", f"union(K:1*{MAX_ORDER})", f"join(E:1,E:{MAX_ORDER - 1})"):
+        code, out, _ = run(capsys, "construct", spec, "--format", "json")
+        assert code == EXIT_OK and json.loads(out)["order"] == MAX_ORDER
+
+
+def test_family_orders_match_built_graphs():
+    # the cap is checked on these formulas before a family is built
+    for name, (arity, ctor, order) in _FAMILIES.items():
+        for args in itertools.product(range(9), repeat=arity):
+            try:
+                g = ctor(*args)
+            except (ValueError, AssertionError):
+                continue
+            assert g.n == order(*args), (name, args)

@@ -17,7 +17,9 @@ from kabminor.extremal import (
     CAVEAT_SMALL_B,
     CONNECTED_GRAPH_COUNTS,
     GRAPH_COUNTS,
+    CANONICAL_MAX_N,
     InternalCorpus,
+    _extend,
     _refine,
     _stable_partition,
     canonical_form,
@@ -196,6 +198,60 @@ def test_incremental_refinement_matches_all_cells():
                 cells = _stable_partition(rows)
                 assert cells == _refine_all_cells(rows, [by_deg[d] for d in sorted(by_deg)])
                 walk(rows, cells)
+
+
+def _refine_every_fragment(rows, cells, fresh):
+    """Reference refinement with full signatures: every fragment of a
+    split cell is fresh, the last one too."""
+    while fresh:
+        new_cells = []
+        split = []
+        for c in cells:
+            if len(c) > 1:
+                groups = {}
+                for v in c:
+                    r = rows[v]
+                    sig = 0
+                    for m in fresh:
+                        sig = sig << 4 | (r & m).bit_count()
+                    groups.setdefault(sig, []).append(v)
+                if len(groups) > 1:
+                    for sig in sorted(groups):
+                        new_cells.append(groups[sig])
+                        split.append(sum(1 << v for v in groups[sig]))
+                    continue
+            new_cells.append(c)
+        cells, fresh = new_cells, split
+    return cells
+
+
+def test_trimmed_refinement_matches_full_signatures(monkeypatch):
+    # _refine leaves out the last fragment of each split cell (and the
+    # last degree cell, and the rest of an individualised cell); the
+    # reference counts into every cell of the partition it is given
+    rng = np.random.default_rng(15)
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    for n in range(2, CANONICAL_MAX_N + 1):
+        for _ in range(40):
+            p = rng.uniform(0.2, 0.8)
+            g = from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            graphs += [g, g.relabel([int(v) for v in rng.permutation(n)])]
+
+    def outputs():
+        return [(_stable_partition(g.rows), canonical_form(g), canonical_graph(g)) for g in graphs]
+
+    trimmed = outputs()
+    monkeypatch.setattr(extremal, "_refine", lambda rows, cells, fresh: _refine_every_fragment(
+        rows, cells, [sum(1 << v for v in c) for c in cells]))
+    assert trimmed == outputs()
+
+
+def test_connected_extension_is_the_filtered_extension():
+    # skipping masks that miss a component of the parent drops exactly
+    # the disconnected children
+    for n in range(2, 9):
+        parents = enumerate_graphs(n - 1)
+        assert _extend(parents, n, connected_only=True) == enumerate_graphs(n, connected_only=True)
 
 
 def test_enumeration_no_isomorphic_duplicates():

@@ -201,6 +201,40 @@ def test_theorem_small_n_disagreement_asserted_without_caveat(monkeypatch):
             assert out.artifacts == () and out.notes == ("report-only disagreement " + tag,)
 
 
+def test_theorem_small_n_filters_once_per_ranked_order(monkeypatch):
+    # the filter does not depend on alpha: one survivors() call per order
+    # that some alpha ranks and none for an order every alpha leaves
+    # outside; each ranking is the report search_max gives at its alpha
+    alphas = (0.1, 0.2, 0.5, 0.7)
+    expected = []
+    for n in (5, 6, 7):
+        for alpha in alphas:
+            pred = extremal.predict(1, 4, n, alpha)
+            if pred.graph is not None:
+                expected.append(extremal.search_max(
+                    extremal.InternalCorpus(n, True), "kab-minor-free:1,4", alpha,
+                    corpus_source=f"internal:n={n}", prediction=pred).to_json())
+    filtered, ranked = [], []
+    real_survivors, real_rank = extremal.survivors, extremal.rank_survivors
+
+    def survivors(corpus, constraint, *args):
+        filtered.append(corpus.n)
+        return real_survivors(corpus, constraint, *args)
+
+    def rank_survivors(*args):
+        rep = real_rank(*args)
+        ranked.append(rep.to_json())
+        return rep
+
+    monkeypatch.setattr(extremal, "survivors", survivors)
+    monkeypatch.setattr(extremal, "rank_survivors", rank_survivors)
+    assert check_theorem_small_n(1, 4, [5, 6, 7], alphas=alphas).status == STATUS_PASS
+    assert filtered == [5, 6, 7] and ranked == expected
+    filtered.clear()
+    check_theorem_small_n(1, 4, [6], alphas=(0.1, 0.2))
+    assert filtered == []
+
+
 def test_suite_registry_and_unknown():
     assert set(SUITES) == {
         "lemma-updown", "mm-bounds", "degree-ordering", "edge-lemmas",
