@@ -32,6 +32,7 @@ from .spectral import (  # noqa: F401
     alpha_matrix,
     quotient,
     quotient_radius_check,
+    spectral_radii,
     spectral_radius,
 )
 from .minors import (  # noqa: F401

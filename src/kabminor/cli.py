@@ -10,9 +10,9 @@ search, --budget on minor and search, --jobs on search alone.
 Exit codes: 0 success/pass, 1 check failure (or minor found, for the
 minor command), 2 usage error, 3 budget-inconclusive.
 
-No graph the grammar or `construct extremal --n` builds has more than
-MAX_ORDER vertices; a larger order is a usage error, raised before the
-graph is built.
+No graph the grammar or `construct extremal --n` builds, and no graph6
+input, has more than MAX_ORDER vertices; a larger order is a usage
+error, raised before the graph is built or any graph6 row decoded.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .graphs import (
     empty_graph,
     f_graph,
     from_graph6,
+    graph6_order,
     join,
     disjoint_union,
     path_graph,
@@ -59,12 +60,15 @@ class SpecError(ValueError):
     pass
 
 
+class OrderError(ValueError):
+    pass
+
+
 def _capped(order: int) -> None:
-    # a ValueError, not a SpecError, so _load_graph does not retry the
-    # text as graph6: a spec that reaches the cap holds ':' or '(', which
-    # graph6 never does
+    # not a SpecError, so _load_graph does not retry the text as graph6:
+    # a spec that reaches the cap holds ':' or '(', which graph6 never does
     if order > MAX_ORDER:
-        raise ValueError(f"order {order} exceeds the cap of {MAX_ORDER} vertices")
+        raise OrderError(f"order {order} exceeds the cap of {MAX_ORDER} vertices")
 
 
 # family name -> (argument count, constructor, order from the arguments)
@@ -189,15 +193,22 @@ def parse_family_spec(text: str) -> Graph:
     return _SpecParser(text).parse()
 
 
+def _read_graph6(text: str) -> Graph:
+    _capped(graph6_order(text))
+    return from_graph6(text)
+
+
 def _load_graph(text: str) -> Graph:
     """Family-spec or graph6 input ('g6:' prefix forces graph6)."""
     if text.startswith("g6:"):
-        return from_graph6(text[3:])
+        return _read_graph6(text[3:])
     try:
         return parse_family_spec(text)
     except SpecError:
         try:
-            return from_graph6(text)
+            return _read_graph6(text)
+        except OrderError:
+            raise
         except ValueError:
             raise SpecError(f"cannot parse {text!r} as family spec or graph6")
 

@@ -59,7 +59,9 @@ from .minors import (
     minor_free_given_apex,
     star_minor_free,
 )
-from .spectral import LAMBDA_TIE_TOL, check_alpha, spectral_radius
+from .spectral import LAMBDA_TIE_TOL, check_alpha, spectral_radii
+# benchmark/trace_run looks spectral_radius up here to wrap it
+from .spectral import spectral_radius  # noqa: F401
 
 CANONICAL_MAX_N = 10
 ENUMERATE_MAX_N = 8
@@ -580,7 +582,7 @@ def rank_survivors(found, constraint: str, alpha: float, corpus_source: str,
         raise BudgetAbort(undecided[0].to_graph6())
     if not passing:
         raise ValueError("no corpus graph satisfies the constraint")
-    lams = [spectral_radius(g, alpha).lam for g in passing]
+    lams = [r.lam for r in spectral_radii(passing, alpha)]
     lam_max = max(lams)
     maximizers = sorted(
         canonical_graph(g).to_graph6()
@@ -611,16 +613,13 @@ def rank_survivors(found, constraint: str, alpha: float, corpus_source: str,
 # candidate comparison
 # ---------------------------------------------------------------------
 
-def _lambda_worker(alpha, g):
-    return spectral_radius(g, alpha).lam
-
-
 def compare_candidates(candidates, alpha: float, jobs: int = 1):
     """Spectral radii of same-order candidate graphs, sorted descending,
     with strict-order flags at the tie tolerance.
 
     candidates: list of (id, Graph).  Returns a list of dict rows;
-    independent of jobs."""
+    independent of jobs, which cut the candidates into that many
+    contiguous slices for spectral_radii."""
     check_alpha(alpha)
     items = list(candidates)
     if not items:
@@ -628,7 +627,11 @@ def compare_candidates(candidates, alpha: float, jobs: int = 1):
     n0 = items[0][1].n
     if any(g.n != n0 for _, g in items):
         raise ValueError("candidates must share one order")
-    lams = _pmap(functools.partial(_lambda_worker, alpha), [g for _, g in items], jobs)
+    graphs = [g for _, g in items]
+    size = -(-len(graphs) // jobs)
+    slices = [graphs[i:i + size] for i in range(0, len(graphs), size)]
+    lams = [r.lam for part in _pmap(functools.partial(spectral_radii, alpha=alpha), slices, jobs)
+            for r in part]
     rows = [{"id": cid, "lambda": lam} for (cid, _), lam in zip(items, lams)]
     rows.sort(key=lambda r: (-r["lambda"], r["id"]))
     for i, r in enumerate(rows):

@@ -260,23 +260,32 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(chars)
 
 
-def from_graph6(s: str) -> Graph:
+def graph6_order(s: str) -> int:
+    """The order of a graph6 record, read from its header without
+    decoding any of its rows."""
     s = s.strip()
     if not s:
         raise ValueError("empty graph6 record")
-    for ch in s:
+    for ch in s[:4] if s[0] == "~" else s[0]:
         if not 63 <= ord(ch) <= 126:
             raise ValueError(f"character {ch!r} out of graph6 range")
-    if s[0] == "~":
-        if len(s) < 4:
-            raise ValueError("truncated graph6 order field")
-        n = 0
-        for ch in s[1:4]:
-            n = n << 6 | (ord(ch) - 63)
-        body = s[4:]
-    else:
-        n = ord(s[0]) - 63
-        body = s[1:]
+    if s[0] != "~":
+        return ord(s[0]) - 63
+    if len(s) < 4:
+        raise ValueError("truncated graph6 order field")
+    n = 0
+    for ch in s[1:4]:
+        n = n << 6 | (ord(ch) - 63)
+    return n
+
+
+def from_graph6(s: str) -> Graph:
+    n = graph6_order(s)
+    s = s.strip()
+    body = s[4:] if s[0] == "~" else s[1:]
+    for ch in body:
+        if not 63 <= ord(ch) <= 126:
+            raise ValueError(f"character {ch!r} out of graph6 range")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ValueError("graph6 body length does not match order")

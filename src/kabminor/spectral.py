@@ -5,6 +5,13 @@ cubic/quadratic evaluators used by the verification suites.
 The alpha matrix of a graph is M = alpha*D + (1-alpha)*A with D the degree
 diagonal and A the adjacency matrix, alpha in [0, 1).  alpha = 0 gives the
 adjacency matrix; alpha = 1/2 gives half the signless Laplacian.
+
+spectral_radii is the one eigen path.  It splits a batch of graphs into
+connected components, stacks the alpha matrices of all components of one
+order into a (k, n, n) array, and makes one LAPACK eigh call per order,
+which runs the same routine on each matrix as a lone call would, so every
+result is bit-identical to a batch of one.  spectral_radius is the batch
+of one.
 """
 
 from __future__ import annotations
@@ -27,15 +34,22 @@ def check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
-    alpha = check_alpha(alpha)
-    n = g.n
+def _alpha_matrices(row_lists, n: int, alpha: float) -> np.ndarray:
+    """The alpha matrices of graphs of one order n, given by their rows, as
+    one (k, n, n) array: one unpackbits over all their rows joined."""
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows), dtype=np.uint8)
-    adj = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for rows in row_lists for r in rows),
+                           dtype=np.uint8)
+    adj = np.unpackbits(packed.reshape(len(row_lists) * n, width), axis=1, count=n,
+                        bitorder="little").reshape(len(row_lists), n, n)
     m = (1.0 - alpha) * adj
-    m[np.diag_indices(n)] = alpha * np.array(g.degrees(), dtype=float)
+    diag = np.arange(n)
+    m[:, diag, diag] = alpha * adj.sum(axis=2, dtype=float)
     return m
+
+
+def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
+    return _alpha_matrices([g.rows], g.n, check_alpha(alpha))[0]
 
 
 @dataclass(frozen=True)
@@ -53,19 +67,61 @@ class SpectralResult:
     is_perron: bool
 
 
-def _solve_component(g: Graph, alpha: float):
-    """Top eigenpair of a connected graph's alpha matrix by LAPACK eigh.
-    Perron-Frobenius makes the top eigenvector single-signed; abs() also
+def _top_eigenpairs(row_lists, n: int, alpha: float):
+    """Top eigenpairs of connected graphs of one order n by one stacked
+    LAPACK eigh: (lams, vectors, residuals), a (k, n) array of vectors.
+    Perron-Frobenius makes each top eigenvector single-signed; abs() also
     lifts entries that rounding leaves just below zero, which a sign flip
     would not."""
-    m = alpha_matrix(g, alpha)
+    m = _alpha_matrices(row_lists, n, alpha)
     w, v = np.linalg.eigh(m)
-    lam = float(w[-1])
-    x = np.abs(v[:, -1])
-    resid = float(np.max(np.abs(m @ x - lam * x)))
-    if resid > RESIDUAL_TOL:
-        raise RuntimeError(f"eigen residual {resid:.3e} exceeds {RESIDUAL_TOL:g}")
-    return lam, x, resid
+    lam = w[:, -1]
+    x = np.abs(v[:, :, -1])
+    resid = np.max(np.abs(m @ x[:, :, None] - lam[:, None, None] * x[:, :, None]), axis=(1, 2))
+    worst = float(np.max(resid))
+    if worst > RESIDUAL_TOL:
+        raise RuntimeError(f"eigen residual {worst:.3e} exceeds {RESIDUAL_TOL:g}")
+    return lam.tolist(), x, resid.tolist()
+
+
+def spectral_radii(graphs, alpha: float) -> list[SpectralResult]:
+    """spectral_radius of each graph, by one stacked eigh per component
+    order.  Each result is bit-identical to the graph's own, whatever
+    else is in the batch; a residual above RESIDUAL_TOL anywhere in the
+    batch raises."""
+    alpha = check_alpha(alpha)
+    stacks: dict[int, list] = {}  # component order -> rows of its components
+    layout = []  # per graph: (order, slot in that stack, vertices or None) per component
+    for g in graphs:
+        if g.n == 0:
+            raise ValueError("spectral radius of the empty graph is undefined")
+        comps = g.component_masks()
+        parts = [(g, None)] if len(comps) == 1 else [
+            (g.induced(verts), verts) for verts in (list(_bits(c)) for c in comps)]
+        entry = []
+        for h, verts in parts:
+            stack = stacks.setdefault(h.n, [])
+            entry.append((h.n, len(stack), verts))
+            stack.append(h.rows)
+        layout.append((g.n, entry))
+    solved = {n: _top_eigenpairs(rows, n, alpha) for n, rows in stacks.items()}
+    out = []
+    for n, entry in layout:
+        best = None
+        for order, i, verts in entry:
+            lam = solved[order][0][i]
+            if best is None or lam > best[0] + LAMBDA_TIE_TOL:
+                best = (lam, order, i, verts)
+        lam, order, i, verts = best
+        _, xs, resids = solved[order]
+        if verts is None:
+            x = xs[i] / np.linalg.norm(xs[i])
+        else:
+            x = np.zeros(n)
+            x[verts] = xs[i]
+            x /= np.linalg.norm(x)
+        out.append(SpectralResult(lam, tuple(x.tolist()), resids[i], verts is None))
+    return out
 
 
 def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
@@ -76,25 +132,7 @@ def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
     (the one containing the smallest vertex among maximizers) is
     zero-padded to full length and flagged non-Perron.
     """
-    check_alpha(alpha)
-    if g.n == 0:
-        raise ValueError("spectral radius of the empty graph is undefined")
-    comps = g.component_masks()
-    if len(comps) == 1:
-        lam, x, resid = _solve_component(g, alpha)
-        x = x / np.linalg.norm(x)
-        return SpectralResult(lam, tuple(x.tolist()), resid, True)
-    best = None
-    for mask in comps:
-        verts = list(_bits(mask))
-        lam, x, resid = _solve_component(g.induced(verts), alpha)
-        if best is None or lam > best[0] + LAMBDA_TIE_TOL:
-            best = (lam, verts, x, resid)
-    lam, verts, x, resid = best
-    full = np.zeros(g.n)
-    full[verts] = x
-    full /= np.linalg.norm(full)
-    return SpectralResult(lam, tuple(full.tolist()), resid, False)
+    return spectral_radii([g], alpha)[0]
 
 
 def eigen_equation_residual(g: Graph, alpha: float, res: SpectralResult) -> float:

@@ -11,7 +11,7 @@ import networkx as nx
 import numpy as np
 
 from kabminor import extremal as ex
-from kabminor.extremal import canonical_graph, compare_candidates, search_max
+from kabminor.extremal import canonical_graph, compare_candidates
 from kabminor.graphs import (
     FamilyParams,
     Graph,
@@ -115,11 +115,16 @@ def _criterion3(jobs):
     reports = []
     ok = True
     bad = []
+    # search_max, with the alpha-independent filter run once per (b, n)
+    found = {}
     for b, n, alpha, target in cases:
-        corpus = ex.enumerate_graphs(n, connected_only=True)
-        rep = search_max(corpus, f"star-minor-free:{b}", alpha,
-                         corpus_source=f"internal:n={n}", jobs=jobs,
-                         prediction=ex.predict(1, b, n, alpha))
+        constraint = f"star-minor-free:{b}"
+        if (b, n) not in found:
+            corpus = ex.enumerate_graphs(n, connected_only=True)
+            found[b, n] = ex.survivors(corpus, constraint, jobs=jobs), len(corpus)
+        passing, size = found[b, n]
+        rep = ex.rank_survivors(passing, constraint, alpha, f"internal:n={n}", size,
+                                ex.predict(1, b, n, alpha))
         reports.append(rep.to_json())
         if rep.maximizers != (target,):
             ok = False

@@ -19,7 +19,7 @@ from kabminor.cli import (
     parse_family_spec,
 )
 from kabminor.extremal import predict
-from kabminor.graphs import Graph, complete, cycle, petersen, star_forest
+from kabminor.graphs import Graph, complete, cycle, path_graph, petersen, star_forest
 
 
 def run(capsys, *argv):
@@ -435,6 +435,36 @@ def test_orders_above_the_cap_are_usage_errors(capsys, built_orders, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == "" and "exceeds the cap" in err
     assert max(built_orders, default=0) <= MAX_ORDER
+
+
+def _edgeless_graph6(n):
+    """The graph6 record of the edgeless graph of order n (long form),
+    written without building the graph."""
+    return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0)) + "?" * ((n * (n - 1) // 2 + 5) // 6)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lambda", "g6:" + _edgeless_graph6(MAX_ORDER + 1)),
+    ("lambda", _edgeless_graph6(MAX_ORDER + 1)),
+    ("minor", "g6:" + _edgeless_graph6(MAX_ORDER + 1), "K_{1,3}"),
+    ("minor", "K:3", "g6:" + _edgeless_graph6(MAX_ORDER + 1)),
+    # a path this long once overflowed the minor search's recursion
+    ("minor", "g6:" + path_graph(1000).to_graph6(), "K_{1,3}", "--budget", "100000"),
+    # the header alone decides: the body is never read
+    ("lambda", "g6:" + _edgeless_graph6(MAX_ORDER + 1)[:4]),
+])
+def test_graph6_orders_above_the_cap_are_usage_errors(capsys, built_orders, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: order ") and f"exceeds the cap of {MAX_ORDER} vertices" in err
+    assert max(built_orders, default=0) <= MAX_ORDER
+
+
+def test_graph6_orders_at_the_cap_load(capsys):
+    for spec in ("g6:" + _edgeless_graph6(MAX_ORDER), _edgeless_graph6(MAX_ORDER)):
+        code, out, _ = run(capsys, "lambda", spec, "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["graph6"] == _edgeless_graph6(MAX_ORDER)
 
 
 def test_orders_at_the_cap_build(capsys):

@@ -54,6 +54,7 @@ from kabminor.graphs import (
     star_forest,
     subdivided_clique,
 )
+from kabminor.spectral import spectral_radii
 
 
 def to_nx(g):
@@ -579,10 +580,12 @@ def test_pmap_pool_is_capped_by_items_and_cpus(monkeypatch):
 def test_layer_hooks_called_once_per_graph(monkeypatch):
     # search_max and compare_candidates reach the spectral and star-minor
     # layers through these module attributes, so a wrapper patched onto
-    # them sees every per-graph call
+    # them sees every graph: the star test per graph, the spectral solve
+    # per batch, which must hold each survivor or candidate exactly once
     import kabminor.extremal as ex
 
-    calls = {"spectral": 0, "star": 0}
+    calls = {"star": 0}
+    solved = []
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -590,15 +593,24 @@ def test_layer_hooks_called_once_per_graph(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ex, "spectral_radius", counting("spectral", ex.spectral_radius))
-    monkeypatch.setattr(ex, "star_minor_free", counting("star", ex.star_minor_free))
+    def recording(graphs, *args, **kwargs):
+        graphs = list(graphs)
+        solved.extend(graphs)
+        return spectral_radii(graphs, *args, **kwargs)
+
     corpus = enumerate_graphs(6, True)
+    passing, _ = survivors(corpus, "star-minor-free:3")
+    monkeypatch.setattr(ex, "spectral_radii", recording)
+    monkeypatch.setattr(ex, "star_minor_free", counting("star", ex.star_minor_free))
     rep = search_max(corpus, "star-minor-free:3", 0.5, jobs=1)
     assert 0 < rep.survivors < len(corpus)
-    assert calls == {"spectral": rep.survivors, "star": len(corpus)}
-    calls.update(spectral=0, star=0)
+    assert calls == {"star": len(corpus)}
+    assert sorted(map(id, solved)) == sorted(map(id, passing))
+    calls.update(star=0)
+    solved.clear()
     compare_candidates([(i, g) for i, g in enumerate(corpus)], 0.5, jobs=1)
-    assert calls == {"spectral": len(corpus), "star": 0}
+    assert calls == {"star": 0}
+    assert sorted(map(id, solved)) == sorted(map(id, corpus))
 
 
 def test_order_ten_block_edge_counts():

@@ -2,14 +2,18 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kabminor import spectral
 from kabminor.extremal import enumerate_graphs
 from kabminor.graphs import (
+    Graph,
+    _bits,
     complete,
     cycle,
     disjoint_union,
@@ -34,7 +38,9 @@ from kabminor.spectral import (
     perron_stats,
     quotient,
     quotient_radius_check,
+    spectral_radii,
     spectral_radius,
+    SpectralResult,
     subdivided_clique_partition,
     threshold,
     xy_identity_check,
@@ -142,6 +148,89 @@ def test_eigh_matches_oracle_on_all_connected_graphs_up_to_order_7():
                 assert abs(res.lam - ref) <= 1e-9, (g.to_graph6(), a)
                 assert eigen_equation_residual(g, a, res) <= 1e-10
                 assert res.is_perron and min(res.vector) > 0, (g.to_graph6(), a)
+
+
+def _reference_matrix(g, a):
+    n = g.n
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows), dtype=np.uint8)
+    adj = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    m = (1.0 - a) * adj
+    m[np.diag_indices(n)] = a * np.array(g.degrees(), dtype=float)
+    return m
+
+
+def _reference_component(g, a):
+    m = _reference_matrix(g, a)
+    w, v = np.linalg.eigh(m)
+    lam = float(w[-1])
+    x = np.abs(v[:, -1])
+    resid = float(np.max(np.abs(m @ x - lam * x)))
+    assert resid <= spectral.RESIDUAL_TOL
+    return lam, x, resid
+
+
+def _reference_radius(g, a):
+    """The per-graph path that spectral_radii replaced: one eigh per
+    component, the first component within the tie tolerance wins."""
+    comps = g.component_masks()
+    if len(comps) == 1:
+        lam, x, resid = _reference_component(g, a)
+        x = x / np.linalg.norm(x)
+        return SpectralResult(lam, tuple(x.tolist()), resid, True)
+    best = None
+    for mask in comps:
+        verts = list(_bits(mask))
+        lam, x, resid = _reference_component(g.induced(verts), a)
+        if best is None or lam > best[0] + spectral.LAMBDA_TIE_TOL:
+            best = (lam, verts, x, resid)
+    lam, verts, x, resid = best
+    full = np.zeros(g.n)
+    full[verts] = x
+    full /= np.linalg.norm(full)
+    return SpectralResult(lam, tuple(full.tolist()), resid, False)
+
+
+def _bits_of(res):
+    return (res.lam.hex(), tuple(v.hex() for v in res.vector), res.residual.hex(), res.is_perron)
+
+
+def test_batched_radii_match_per_graph_path_bit_for_bit():
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    assert any(not g.is_connected() for g in graphs)
+    for a in (0.0, 0.5, 0.9):
+        got = spectral_radii(graphs, a)
+        assert len(got) == len(graphs)
+        for g, res in zip(graphs, got):
+            assert _bits_of(res) == _bits_of(_reference_radius(g, a)), (g.to_graph6(), a)
+
+
+def test_batched_radii_do_not_depend_on_the_batch():
+    rng = random.Random(11)
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [subdivided_clique(8, 5), disjoint_union([complete(9), cycle(9), complete(9)]),
+               join(complete(2), disjoint_union([cycle(5)] * 3)), petersen_complement()]
+    rng.shuffle(graphs)
+    for a in (0.0, 0.5, 0.9):
+        batch = spectral_radii(graphs, a)
+        for g, res in zip(graphs, batch):
+            assert _bits_of(res) == _bits_of(spectral_radii([g], a)[0]), (g.to_graph6(), a)
+            assert _bits_of(res) == _bits_of(spectral_radius(g, a))
+
+
+def test_batched_residual_above_tolerance_raises(monkeypatch):
+    # connected graphs, so every solved residual is reported, in two
+    # stacks of many matrices each
+    graphs = enumerate_graphs(6, connected_only=True) + enumerate_graphs(7, connected_only=True)
+    worst = max(res.residual for res in spectral_radii(graphs, 0.5))
+    assert worst > 0
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", worst)
+    spectral_radii(graphs, 0.5)
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", float(np.nextafter(worst, 0.0)))
+    with pytest.raises(RuntimeError, match="eigen residual"):
+        spectral_radii(graphs, 0.5)
+    with pytest.raises(ValueError):
+        spectral_radii([complete(3), Graph(0, ())], 0.5)
 
 
 def test_perron_vector_nonnegative_below_rounding():
