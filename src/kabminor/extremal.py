@@ -21,7 +21,13 @@ it, McKay's hereditary pruning: it walks the orders 1..n and extends
 only the graphs that passed or were undecided at the order below.  When
 only connected graphs are wanted, the last order skips every
 augmentation whose new vertex misses a component of its parent, before
-any refinement, since that child is disconnected.
+any refinement, since that child is disconnected.  When the constraint
+forbids a K_{1,s} minor (star-minor-free:s, kab-minor-free:1,s, and the
+r = 1 pair of ab-property:a,s), every order also skips, before any
+refinement, each child with an O(n + e) certificate of that minor
+(minors.star_certificate): a vertex of degree >= s, or an edge whose ends
+have >= s other neighbours together.  Such a child fails the constraint;
+every kept child still gets the full budgeted check.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import multiprocessing as mp
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -57,6 +62,7 @@ from .minors import (
     find_clique_dominating_set,
     has_minor,
     minor_free_given_apex,
+    star_certificate,
     star_minor_free,
 )
 from .spectral import LAMBDA_TIE_TOL, check_alpha, spectral_radii
@@ -250,27 +256,33 @@ def _check_order(n: int):
         raise ValueError(f"internal enumerator handles 1 <= n <= {ENUMERATE_MAX_N}")
 
 
-def _extend(parents, n: int, connected_only: bool = False) -> list[Graph]:
+def _extend(parents, n: int, connected_only: bool = False, star: int | None = None) -> list[Graph]:
     """The graphs of order n that extend the order-(n - 1) graphs parents
     by one vertex, one per isomorphism class, canonically labelled and in
-    canonical-code order; only the connected ones when connected_only.
+    canonical-code order; only the connected ones when connected_only, and
+    only those with no K_{1,star} certificate (minors.star_certificate)
+    when star is given.
 
     Only masks that give the new vertex n - 1 minimum degree in the child
     are tried, and of those one per twin-swap orbit of the parent (see
     _augmentation_masks).  With connected_only a mask that misses a
     component of the parent is skipped before any refinement: its child
     is disconnected, and every connected child comes from masks that meet
-    every component, so the result is the unpruned one filtered.  A child
-    is kept only when n - 1 lies in the first cell of its stable partition
-    (_stable_partition).  That cell is a nonempty isomorphism-invariant
-    set of minimum-degree vertices, so a graph G of order n is reached
-    whenever parents holds G - v for some (hence every) vertex v of its
-    first cell, up to isomorphism: the child that restores v (up to a twin
-    swap of the parent) maps v to n - 1 under an isomorphism, which
-    carries the first cell to the first cell.  Kept children are searched
-    from that partition, deduplicated by canonical code and stored
-    canonically labelled, so the graph kept for a code does not depend on
-    which parent produced it."""
+    every component, so the result is the unpruned one filtered.  With
+    star, a child with a vertex of degree >= star, or with an edge whose
+    ends have >= star other neighbours together, is skipped before any
+    refinement too.  It has a K_{1,star} minor, and having a certificate
+    does not depend on the labelling, so again the result is the unpruned
+    one filtered.  A child is kept only when n - 1 lies in the first cell
+    of its stable partition (_stable_partition).  That cell is a nonempty
+    isomorphism-invariant set of minimum-degree vertices, so a graph G of
+    order n is reached whenever parents holds G - v for some (hence every)
+    vertex v of its first cell, up to isomorphism: the child that restores
+    v (up to a twin swap of the parent) maps v to n - 1 under an
+    isomorphism, which carries the first cell to the first cell.  Kept
+    children are searched from that partition, deduplicated by canonical
+    code and stored canonically labelled, so the graph kept for a code
+    does not depend on which parent produced it."""
     seen: dict[bytes, Graph] = {}
     for g in parents:
         components = g.component_masks() if connected_only else ()
@@ -278,6 +290,8 @@ def _extend(parents, n: int, connected_only: bool = False) -> list[Graph]:
             if any(not mask & c for c in components):
                 continue
             rows = tuple(r | (mask >> v & 1) << (n - 1) for v, r in enumerate(g.rows)) + (mask,)
+            if star is not None and star_certificate(rows, star):
+                continue
             cells = _stable_partition(rows)
             if n - 1 in cells[0]:
                 code, lab = _canonical_search(rows, cells)
@@ -441,6 +455,15 @@ def _check_constraint(g: Graph, name: str, args, budget: int) -> bool:
     raise ValueError(f"unknown constraint {name!r}")
 
 
+def _star_pattern(name: str, args) -> int | None:
+    """s when the constraint fails on every graph with a K_{1,s} minor:
+    star-minor-free:s, kab-minor-free:1,s, and ab-property:a,s through
+    its r = 1 pair; None for kab-minor-free:a,b with a >= 2."""
+    if name == "kab-minor-free" and args[0] > 1:
+        return None
+    return args[-1]
+
+
 @dataclass(frozen=True)
 class SearchReport:
     constraint: str
@@ -479,7 +502,9 @@ def _mapper(jobs: int, count: int):
     count.  Results are in item order either way."""
     workers = min(jobs, count, os.cpu_count() or 1)
     if workers > 1:
-        with mp.get_context("fork").Pool(workers) as pool:
+        import multiprocessing  # here, so that serial runs never load it
+
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             yield pool.map
     else:
         yield lambda fn, items: [fn(x) for x in items]
@@ -522,23 +547,28 @@ def survivors(corpus, constraint: str, budget: int = minors.DEFAULT_BUDGET, jobs
     m = 1..n the graphs are checked, and only those that passed or were
     undecided are extended to order m + 1 (_extend).  connected_only
     applies at order n alone, where _extend skips the augmentations that
-    give a disconnected child.  The constraint is closed under vertex
-    deletion, so every vertex-deleted subgraph of a passing graph passes
-    or is undecided, and _extend reaches the graph: passing equals the
-    enumerated list's.  undecided holds only graphs reached that way, an
-    ordered subset of the list's.
+    give a disconnected child.  When the constraint forbids a K_{1,s}
+    minor (_star_pattern), _extend also drops every child with a
+    certificate of one (minors.star_certificate), which fails the
+    constraint.  The constraint is closed under vertex deletion, so every
+    vertex-deleted subgraph of a passing graph passes or is undecided, and
+    _extend reaches the graph: passing equals the enumerated list's.
+    undecided holds only graphs reached that way and without a
+    certificate, an ordered subset of the list's: a graph whose own check
+    would run out of budget is dropped when a parent failed or it has a
+    certificate.
 
     With jobs > 1 one pool, for the whole call, checks contiguous slices,
     and the verdicts are joined in order, so results are independent of
     jobs."""
-    parse_constraint(constraint)
+    star = _star_pattern(*parse_constraint(constraint))
     if isinstance(corpus, InternalCorpus):
         with _mapper(jobs, len(corpus)) as pmap:
             level = enumerate_graphs(1)
             verdicts = _check_all(level, constraint, budget, jobs, pmap)
             for m in range(2, corpus.n + 1):
                 level = _extend([g for g, v in zip(level, verdicts) if v is not False], m,
-                                connected_only=corpus.connected_only and m == corpus.n)
+                                connected_only=corpus.connected_only and m == corpus.n, star=star)
                 verdicts = _check_all(level, constraint, budget, jobs, pmap)
     else:
         level = list(corpus)

@@ -75,28 +75,36 @@ def validate_witness(g: Graph, h: Graph, witness: MinorWitness) -> bool:
 def _connected_subsets(rows, allowed: int, max_size: int):
     """Yield (S, N) for every nonempty connected vertex subset S (as a
     bitmask) of the graph restricted to `allowed`, each exactly once, up
-    to max_size; N is the OR of the rows of S."""
+    to max_size; N is the OR of the rows of S.
+
+    Sets whose minimum vertex is v grow from {v} by vertices above v.  A
+    set's extensions are tried candidate by candidate, and a tried
+    candidate leaves the set's `allowed` for its later candidates and all
+    their descendants, so each set is yielded once, in the branch of the
+    first candidate it contains.  The walk is depth first over an explicit
+    stack of [S, N, untried candidates, allowed] frames, so the depth of a
+    set costs no recursion."""
     rest = allowed
     for v in _bits(allowed):
-        # sets whose minimum vertex is v: extensions drawn from rest only
-        yield from _grow(rows, 1 << v, rows[v], rest, max_size)
+        s, nb = 1 << v, rows[v]
+        yield s, nb
+        stack = [[s, nb, nb & rest & ~s, rest]] if max_size > 1 else []
+        while stack:
+            top = stack[-1]
+            cand = top[2]
+            if not cand:
+                stack.pop()
+                continue
+            low = cand & -cand
+            top[2] = cand ^ low
+            ext = top[3]
+            top[3] = ext & ~low
+            s = top[0] | low
+            nb = top[1] | rows[low.bit_length() - 1]
+            yield s, nb
+            if s.bit_count() < max_size:
+                stack.append([s, nb, nb & ext & ~s, ext])
         rest &= ~(1 << v)
-
-
-def _grow(rows, s: int, nb: int, allowed: int, max_size: int):
-    """Yield (S, N) for s and every connected extension of s by vertices
-    of `allowed`.  A tried candidate leaves `allowed` for the later
-    branches and all their descendants, so each set is yielded once, in
-    the branch of the first candidate it contains."""
-    yield s, nb
-    if s.bit_count() >= max_size:
-        return
-    cand = nb & allowed & ~s
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        yield from _grow(rows, s | low, nb | rows[low.bit_length() - 1], allowed, max_size)
-        allowed &= ~low
 
 
 def _minor_search(g: Graph, h: Graph, budget: int, within: int):
@@ -173,6 +181,24 @@ def _star_boundary(g: Graph, b: int, budget: int, within: int):
         if nb.bit_count() >= b:
             return s, nb, count
     return 0, 0, count
+
+
+def star_certificate(rows, s: int) -> bool:
+    """Whether the graph with adjacency rows shows a K_{1,s} minor in
+    O(n + e): a vertex of degree >= s, or an edge uv with
+    |N(u) | N(v) minus {u, v}| >= s.  These are the |S| <= 2 sets of
+    _star_boundary's criterion, so True implies the minor; False decides
+    nothing."""
+    for v, r in enumerate(rows):
+        if r.bit_count() >= s:
+            return True
+        above = r >> v + 1 << v + 1
+        while above:
+            low = above & -above
+            above ^= low
+            if ((r | rows[low.bit_length() - 1]) & ~(low | 1 << v)).bit_count() >= s:
+                return True
+    return False
 
 
 def _is_star(h: Graph) -> bool:

@@ -1,20 +1,28 @@
 """CLI surface: grammar, subcommands, exit codes, output formats."""
 
+import argparse
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from kabminor import __version__
+import kabminor
+from kabminor import __version__, verify
 from kabminor.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
     MAX_ORDER,
+    SUITE_NAMES,
     SpecError,
     _FAMILIES,
+    build_parser,
     main,
     parse_family_spec,
 )
@@ -264,6 +272,31 @@ def test_verify_pass_and_formats(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == EXIT_USAGE and "unknown suite" in err
+
+
+def test_verify_help_names_the_suites():
+    # cli names the suites itself, so that only verify loads the module
+    assert SUITE_NAMES == tuple(verify.SUITES)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suites = next(a for a in sub.choices["verify"]._actions if a.dest == "suites")
+    assert suites.help == f"suites: {', '.join(verify.SUITES)} or all"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["search", "--n", "5", "--constraint", "star-minor-free:3", "--format", "json"],
+])
+def test_commands_leave_verify_and_multiprocessing_unloaded(argv):
+    # -X importtime lists every module the process imports
+    env = dict(os.environ, PYTHONPATH=str(Path(kabminor.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "kabminor.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "kabminor.extremal" in imported
+    assert "kabminor.verify" not in imported
+    assert not any(m.split(".")[0] == "multiprocessing" for m in imported)
 
 
 def test_usage_exit_codes(capsys):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import multiprocessing
 import operator
 from types import SimpleNamespace
 
@@ -429,7 +430,8 @@ def test_internal_corpus_is_the_enumeration():
 
 
 WALK_CONSTRAINTS = [f"star-minor-free:{b}" for b in range(1, 8)] + [
-    "kab-minor-free:2,3", "kab-minor-free:2,4", "ab-property:2,4"]
+    "kab-minor-free:2,3", "kab-minor-free:2,4", "ab-property:2,4", "ab-property:3,5",
+    "kab-minor-free:1,4"]
 
 
 def _connected_part(pair):
@@ -456,6 +458,19 @@ def test_walk_matches_list_filter_order_eight(b):
     constraint = f"star-minor-free:{b}"
     assert survivors(InternalCorpus(8, True), constraint) \
         == survivors(enumerate_graphs(8, True), constraint)
+
+
+def test_walk_skips_star_certificates_before_canonical_search(monkeypatch):
+    # search --n 8 --constraint star-minor-free:5: children with a vertex
+    # of degree >= 5, or an edge whose ends have >= 5 other neighbours,
+    # are dropped before their canonical search
+    calls = []
+    search = extremal._canonical_search
+    monkeypatch.setattr(extremal, "_canonical_search",
+                        lambda rows, cells: calls.append(1) or search(rows, cells))
+    passing, undecided = survivors(InternalCorpus(8, True), "star-minor-free:5")
+    assert (len(passing), undecided) == (343, [])
+    assert len(calls) == 1279
 
 
 @pytest.mark.parametrize("budget", [1, 3, 50])
@@ -491,7 +506,7 @@ def test_walk_uses_one_pool(monkeypatch):
             return [fn(x) for x in items]
 
     expected = survivors(InternalCorpus(6, True), "kab-minor-free:2,3")
-    monkeypatch.setattr(extremal.mp, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
     monkeypatch.setattr(extremal.os, "cpu_count", lambda: 4)
     assert survivors(InternalCorpus(6, True), "kab-minor-free:2,3", jobs=3) == expected
     assert sizes == [3]
@@ -564,7 +579,7 @@ def test_pmap_pool_is_capped_by_items_and_cpus(monkeypatch):
         def map(self, fn, items):
             return [fn(x) for x in items]
 
-    monkeypatch.setattr(extremal.mp, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
     monkeypatch.setattr(extremal.os, "cpu_count", lambda: 4)
     double = functools.partial(operator.mul, 2)
     assert extremal._pmap(double, [1, 2, 3], 5000) == [2, 4, 6]

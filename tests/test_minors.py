@@ -12,6 +12,7 @@ from kabminor.graphs import (
     disjoint_union,
     from_edges,
     join,
+    path_graph,
     petersen,
     petersen_complement,
     star,
@@ -32,6 +33,7 @@ from kabminor.minors import (
     find_clique_dominating_set,
     has_minor,
     minor_free_given_apex,
+    star_certificate,
     star_minor_free,
     validate_witness,
 )
@@ -146,6 +148,71 @@ def test_connected_subsets_exactly_once():
                     for v in _bits(s):
                         row_or |= g.rows[v]
                     assert nb == row_or
+
+
+def _connected_subsets_recursive(rows, allowed, max_size):
+    # the recursive walker that _connected_subsets replaced: one Python
+    # frame per vertex of the set being grown
+    def grow(s, nb, allowed):
+        yield s, nb
+        if s.bit_count() >= max_size:
+            return
+        cand = nb & allowed & ~s
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            yield from grow(s | low, nb | rows[low.bit_length() - 1], allowed)
+            allowed &= ~low
+
+    rest = allowed
+    for v in _bits(allowed):
+        yield from grow(1 << v, rows[v], rest)
+        rest &= ~(1 << v)
+
+
+def test_connected_subsets_order_matches_recursive_walker():
+    # the same sets in the same order, so expansion counts and witnesses
+    # are those of the recursive walker
+    for n in range(1, 8):
+        full = (1 << n) - 1
+        for g in enumerate_graphs(n):
+            for cap in sorted({1, 2, n}):
+                assert list(_connected_subsets(g.rows, full, cap)) \
+                    == list(_connected_subsets_recursive(g.rows, full, cap)), (g.to_graph6(), cap)
+
+
+def test_long_path_runs_out_of_budget_without_recursion_error():
+    # the walk grows sets of up to 997 vertices along the path
+    assert has_minor(path_graph(1000), star(3), budget=10**5).verdict == VERDICT_BUDGET
+
+
+def test_star_certificate_is_sound():
+    # every graph of order <= 7 and every s <= n: a certificate means a
+    # K_{1,s} minor
+    pairs = fired = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            for s in range(1, n + 1):
+                pairs += 1
+                if star_certificate(g.rows, s):
+                    fired += 1
+                    assert not star_minor_free(g, s), (g.to_graph6(), s)
+    assert (pairs, fired) == (8475, 5613)
+
+
+def test_star_certificate_cases():
+    assert star_certificate(star(4).rows, 4)
+    assert not star_certificate(star(4).rows, 5)
+    # P_6 has degree 2, and an inner edge has two other neighbours
+    assert star_certificate(path_graph(6).rows, 2)
+    assert not star_certificate(path_graph(6).rows, 3)
+    # two degree-3 vertices at distance 2: contracting the path between
+    # them gives K_{1,4}, which no set of at most two vertices shows
+    spaced = from_edges(7, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6)])
+    assert not star_certificate(spaced.rows, 4) and not star_minor_free(spaced, 4)
+    # the double star: an edge whose ends have 2 + 2 other neighbours
+    double = from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    assert star_certificate(double.rows, 4) and not star_certificate(double.rows, 5)
 
 
 def test_ab_property_examples():
