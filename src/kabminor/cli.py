@@ -8,11 +8,12 @@ table; verify adds csv) everywhere, --alpha on construct, lambda and
 search, --budget on minor and search, --jobs on search alone.
 
 Exit codes: 0 success/pass, 1 check failure (or minor found, for the
-minor command), 2 usage error, 3 budget-inconclusive.
+minor command), 2 usage error, 3 budget-inconclusive (verify too).
 
 No graph the grammar or `construct extremal --n` builds, and no graph6
-input, has more than MAX_ORDER vertices; a larger order is a usage
-error, raised before the graph is built or any graph6 row decoded.
+input (a --corpus record included), has more than MAX_ORDER vertices; a
+larger order is a usage error, raised before the graph is built or any
+graph6 row decoded.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ def cmd_search(args) -> int:
         if args.n is not None and (args.a, args.b) == (None, None):
             raise SpecError("with --corpus, --n only feeds a prediction, which needs --a and --b")
         try:
-            corpus = ex.ingest_graph6(args.corpus)
+            corpus = ex.ingest_graph6(args.corpus, _read_graph6)
         except OSError as exc:
             raise SpecError(f"cannot read --corpus {args.corpus}: {exc.strerror}") from exc
         source = args.corpus
@@ -337,7 +338,7 @@ def cmd_search(args) -> int:
         rep = ex.search_max(corpus, args.constraint, args.alpha,
                             corpus_source=source, budget=args.budget,
                             jobs=args.jobs, prediction=prediction)
-    except ex.BudgetAbort as exc:
+    except BudgetExhausted as exc:
         _emit({"error": "budget", "candidate": exc.graph6}, args)
         return EXIT_BUDGET
     _emit(json.loads(rep.to_json()), args)

@@ -27,7 +27,8 @@ r = 1 pair of ab-property:a,s), every order also skips, before any
 refinement, each child with an O(n + e) certificate of that minor
 (minors.star_certificate): a vertex of degree >= s, or an edge whose ends
 have >= s other neighbours together.  Such a child fails the constraint;
-every kept child still gets the full budgeted check.
+every kept child still gets the full budgeted check.  A graph left
+undecided at the last order makes survivors() raise BudgetExhausted.
 """
 
 from __future__ import annotations
@@ -334,9 +335,9 @@ class InternalCorpus:
         return iter(enumerate_graphs(self.n, self.connected_only))
 
 
-def ingest_graph6(path: str):
-    """Decode a file of newline-separated graph6 records; malformed lines
-    raise with their line number."""
+def ingest_graph6(path: str, decode=from_graph6):
+    """Decode a file of newline-separated graph6 records, each by decode;
+    a record it rejects with ValueError raises with its line number."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -344,7 +345,7 @@ def ingest_graph6(path: str):
             if not line:
                 continue
             try:
-                out.append(from_graph6(line))
+                out.append(decode(line))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
@@ -416,14 +417,6 @@ def predict(a: int, b: int, n: int, alpha: float) -> ExtremalPrediction:
 # ---------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------
-
-class BudgetAbort(RuntimeError):
-    """Raised when a constraint check runs out of budget on a candidate."""
-
-    def __init__(self, graph6: str):
-        super().__init__(f"minor-search budget exhausted on candidate {graph6}")
-        self.graph6 = graph6
-
 
 def parse_constraint(tag: str):
     """Constraint tags: star-minor-free:B, kab-minor-free:A,B,
@@ -538,7 +531,7 @@ def _check_all(graphs, constraint: str, budget: int, jobs: int, pmap):
     return [v for part in pmap(check, slices) for v in part]
 
 
-def survivors(corpus, constraint: str, budget: int = minors.DEFAULT_BUDGET, jobs: int = 1):
+def _filter(corpus, constraint: str, budget: int, jobs: int = 1):
     """(passing, undecided): the corpus graphs that satisfy the constraint
     and those whose check ran out of budget, each in corpus order.
 
@@ -578,6 +571,17 @@ def survivors(corpus, constraint: str, budget: int = minors.DEFAULT_BUDGET, jobs
             [g for g, v in zip(level, verdicts) if v is None])
 
 
+def survivors(corpus, constraint: str, budget: int = minors.DEFAULT_BUDGET, jobs: int = 1) -> list[Graph]:
+    """The corpus graphs that satisfy the constraint, in corpus order
+    (_filter).  Raises BudgetExhausted naming the first graph, in corpus
+    order, whose check ran out of budget."""
+    passing, undecided = _filter(corpus, constraint, budget, jobs)
+    if undecided:
+        g6 = undecided[0].to_graph6()
+        raise BudgetExhausted(f"minor-search budget exhausted on candidate {g6}", g6)
+    return passing
+
+
 def search_max(
     corpus,
     constraint: str,
@@ -590,26 +594,22 @@ def search_max(
     """Filter the corpus by the minor constraint (survivors) and return
     every maximizer of the alpha spectral radius within the tie tolerance
     (rank_survivors).  The corpus is an InternalCorpus or any iterable of
-    graphs, and corpus_size is its len.  Raises BudgetAbort naming the
+    graphs, and corpus_size is its len.  Raises BudgetExhausted naming the
     first graph whose check ran out of budget.  Results are independent
     of jobs."""
     check_alpha(alpha)
     graphs = corpus if isinstance(corpus, InternalCorpus) else list(corpus)
-    found = survivors(graphs, constraint, budget, jobs)
-    return rank_survivors(found, constraint, alpha, corpus_source, len(graphs), prediction)
+    passing = survivors(graphs, constraint, budget, jobs)
+    return rank_survivors(passing, constraint, alpha, corpus_source, len(graphs), prediction)
 
 
-def rank_survivors(found, constraint: str, alpha: float, corpus_source: str,
+def rank_survivors(passing, constraint: str, alpha: float, corpus_source: str,
                    corpus_size: int, prediction: ExtremalPrediction | None = None) -> SearchReport:
     """The ranking half of search_max: the report on the corpus whose
-    survivors() are found = (passing, undecided), ranked at alpha.  An
-    alpha-independent filter can thus run once for several alphas.
-    Raises BudgetAbort naming the first undecided graph, and ValueError
-    when nothing passed."""
+    survivors() are passing, ranked at alpha.  An alpha-independent filter
+    can thus run once for several alphas.  Raises ValueError when nothing
+    passed."""
     check_alpha(alpha)
-    passing, undecided = found
-    if undecided:
-        raise BudgetAbort(undecided[0].to_graph6())
     if not passing:
         raise ValueError("no corpus graph satisfies the constraint")
     lams = [r.lam for r in spectral_radii(passing, alpha)]

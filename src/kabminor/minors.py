@@ -5,7 +5,8 @@ A branch-set model of H inside G assigns each H-vertex a nonempty
 connected vertex subset of G, all pairwise disjoint, with a cross edge in
 G for every edge of H.  Searches are exact within an expansion budget;
 budget exhaustion is a first-class third verdict, never coerced to
-"free" or "contains".
+"free" or "contains"; the boolean checks raise BudgetExhausted, the one
+budget exception, which extremal.survivors makes name its candidate.
 
 The search breaks the symmetry of the pattern: twins of H (vertices
 whose rows are equal once their mutual bit is cleared, as in one side of
@@ -35,7 +36,12 @@ VERDICT_BUDGET = "budget"
 
 
 class BudgetExhausted(RuntimeError):
-    """An expansion budget ran out before a search could decide."""
+    """An expansion budget ran out before a search could decide; graph6
+    names the undecided candidate when a corpus filter raised it."""
+
+    def __init__(self, message: str, graph6: str | None = None):
+        super().__init__(message)
+        self.graph6 = graph6
 
 
 @dataclass(frozen=True)

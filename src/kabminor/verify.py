@@ -13,6 +13,10 @@ Suites (runnable from the CLI as `verify <suite>`):
                           and double-eigenvector-identity on subdivided
                           cliques
   theorem-small-n         exhaustive maximizer agreement at small orders
+
+A graph an exhaustive check cannot decide within the default budget
+raises minors.BudgetExhausted (CLI exit 3), never a status: inconclusive
+marks only the large-order and caveated claims.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .graphs import (
     star_forest,
     subdivided_clique,
 )
-from .minors import DEFAULT_BUDGET, ab_property_complement_criterion
+from .minors import ab_property_complement_criterion
 from .spectral import (
     f1_eval,
     f1_threshold_closed,
@@ -238,46 +242,37 @@ def check_degree_ordering_claim(cases=((2, 6, 1, 2, 3), (2, 6, 1, 3, 2), (3, 7, 
 # exhaustive edge bounds
 # ---------------------------------------------------------------------
 
-def check_edge_lemmas(budget: int = DEFAULT_BUDGET) -> list[CheckOutcome]:
+def check_edge_lemmas() -> list[CheckOutcome]:
     return [
-        _check_edge_bound_star(4, (6, 7), budget),
-        _check_edge_max_property(2, 4, budget),
-        _check_edge_max_property(2, 5, budget),
-        _check_criterion_agreement(2, 5, budget),
+        _check_edge_bound_star(4, (6, 7)),
+        _check_edge_max_property(2, 4),
+        _check_edge_max_property(2, 5),
+        _check_criterion_agreement(2, 5),
     ]
 
 
-def _check_edge_bound_star(b: int, n_range, budget: int) -> CheckOutcome:
+def _check_edge_bound_star(b: int, n_range) -> CheckOutcome:
     """Connected star-minor-free graphs have at most C(b,2)+n-b edges,
     and the bound is attained."""
     failures = []
     worst = math.inf
     notes = []
-    inconclusive = False
     for n in n_range:
         bound = b * (b - 1) // 2 + n - b
         best = -1
-        passing, undecided = ex.survivors(ex.InternalCorpus(n, connected_only=True),
-                                          f"star-minor-free:{b}", budget)
-        inconclusive = inconclusive or bool(undecided)
-        for g in passing:
+        for g in ex.survivors(ex.InternalCorpus(n, connected_only=True), f"star-minor-free:{b}"):
             if g.e > bound:
                 failures.append(g.to_graph6())
             best = max(best, g.e)
         worst = min(worst, bound - best)
-        if best != bound and not inconclusive:
+        if best != bound:
             failures.append(f"bound-not-attained:n={n}")
         notes.append(f"n={n}:max_e={best},bound={bound}")
-    if inconclusive:
-        # an undecided graph may exceed the bound or attain it, so only
-        # the decided graphs' excesses are asserted
-        notes.append("budget exhausted on part of the sweep")
-        worst = None
     return _outcome("edge-bound-star-minor-free", {"b": b, "n": list(n_range)},
-                    failures, worst, notes, inconclusive)
+                    failures, worst, notes)
 
 
-def _check_edge_max_property(a: int, b: int, budget: int) -> CheckOutcome:
+def _check_edge_max_property(a: int, b: int) -> CheckOutcome:
     """Edge-maximal connected order-(b+1) graphs with the (a,b)-property
     have C(b,2)+tau-1 edges and forest complements with tau components."""
     tau = (b + 1) // (a + 1)
@@ -286,19 +281,11 @@ def _check_edge_max_property(a: int, b: int, budget: int) -> CheckOutcome:
     notes = []
     best = -1
     maximizers = []
-    passing, undecided = ex.survivors(ex.InternalCorpus(b + 1, connected_only=True),
-                                      f"ab-property:{a},{b}", budget)
-    for g in passing:
+    for g in ex.survivors(ex.InternalCorpus(b + 1, connected_only=True), f"ab-property:{a},{b}"):
         if g.e > best:
             best, maximizers = g.e, [g]
         elif g.e == best:
             maximizers.append(g)
-    if undecided:
-        # some graphs undecided: the maximum below is unreliable, so
-        # nothing may be asserted either way
-        notes.append("budget exhausted on part of the sweep")
-        return _outcome(f"edge-max-property-order-{b + 1}", {"a": a, "b": b},
-                        [], None, notes, inconclusive=True)
     if best != target:
         failures.append(f"max-e={best},expected={target}")
     for g in maximizers:
@@ -312,17 +299,15 @@ def _check_edge_max_property(a: int, b: int, budget: int) -> CheckOutcome:
                     failures, float(target - best) if best >= 0 else None, notes)
 
 
-def _check_criterion_agreement(a: int, b: int, budget: int) -> CheckOutcome:
+def _check_criterion_agreement(a: int, b: int) -> CheckOutcome:
     """The complement-component criterion agrees with the direct
     (a,b)-property test on every connected graph of order b+1."""
     corpus = ex.enumerate_graphs(b + 1, connected_only=True)
-    passing, undecided = ex.survivors(corpus, f"ab-property:{a},{b}", budget)
-    held, skipped = set(passing), set(undecided)
+    held = set(ex.survivors(corpus, f"ab-property:{a},{b}"))
     failures = [g.to_graph6() for g in corpus
-                if g not in skipped and (g in held) != ab_property_complement_criterion(g, a, b)]
-    return _outcome("complement-criterion-agreement",
-                    {"a": a, "b": b, "graphs": len(corpus) - len(undecided)}, failures, None,
-                    inconclusive=bool(undecided))
+                if (g in held) != ab_property_complement_criterion(g, a, b)]
+    return _outcome("complement-criterion-agreement", {"a": a, "b": b, "graphs": len(corpus)},
+                    failures, None)
 
 
 # ---------------------------------------------------------------------

@@ -26,7 +26,7 @@ from kabminor.cli import (
     main,
     parse_family_spec,
 )
-from kabminor.extremal import predict
+from kabminor.extremal import enumerate_graphs, predict
 from kabminor.graphs import Graph, complete, cycle, path_graph, petersen, star_forest
 
 
@@ -244,6 +244,37 @@ def test_search_budget_abort(capsys, tmp_path):
         assert code == EXIT_BUDGET
         data = json.loads(out)
         assert data["error"] == "budget" and data["candidate"] == g.to_graph6()
+
+
+# stdout of `search --n 7 --constraint star-minor-free:4 --budget 3 --format
+# json`, and of the same graphs given as a --corpus file, as released: the
+# walk never reaches the list's first undecided graph, so it names another
+STARVED_SEARCH = (
+    '{{"candidate": "{}", "config": {{"a": null, "alpha": 0.0, "b": null, "budget": 3, '
+    '"command": "search", "format": "json", "jobs": {}, "n": {}, "version": "0.1.0"}}, '
+    '"error": "budget"}}\n')
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_starved_search_output_is_pinned(capsys, tmp_path, jobs):
+    argv = ["search", "--constraint", "star-minor-free:4", "--budget", "3",
+            "--format", "json", "--jobs", jobs]
+    code, out, err = run(capsys, *argv, "--n", "7")
+    assert (code, out, err) == (EXIT_BUDGET, STARVED_SEARCH.format("F??}O", jobs, 7), "")
+    f = tmp_path / "c7.g6"
+    f.write_text("".join(g.to_graph6() + "\n" for g in enumerate_graphs(7, True)))
+    code, out, err = run(capsys, *argv, "--corpus", str(f))
+    assert (code, out, err) == (EXIT_BUDGET, STARVED_SEARCH.format("F??Fw", jobs, "null"), "")
+
+
+def test_corpus_records_above_the_cap_are_usage_errors(capsys, tmp_path, built_orders):
+    f = tmp_path / "long.g6"
+    f.write_text(path_graph(MAX_ORDER + 1).to_graph6() + "\n" + complete(3).to_graph6() + "\n")
+    built_orders.clear()
+    code, out, err = run(capsys, "search", "--constraint", "star-minor-free:3", "--corpus", str(f))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {f}:1: order {MAX_ORDER + 1} exceeds the cap of {MAX_ORDER} vertices\n"
+    assert max(built_orders, default=0) <= MAX_ORDER
 
 
 def test_search_usage_errors(capsys):

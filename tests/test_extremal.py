@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from kabminor import extremal, minors
+from kabminor.minors import BudgetExhausted
 from kabminor.extremal import (
-    BudgetAbort,
     CAVEAT_SMALL_B,
     CONNECTED_GRAPH_COUNTS,
     GRAPH_COUNTS,
     CANONICAL_MAX_N,
     InternalCorpus,
     _extend,
+    _filter,
     _refine,
     _stable_partition,
     canonical_form,
@@ -398,23 +399,35 @@ def test_search_invariant_under_relabeling():
 def test_search_budget_abort():
     aborting = join(complete(2), cycle(8))
     for jobs in (1, 2):
-        with pytest.raises(BudgetAbort) as exc:
+        with pytest.raises(BudgetExhausted) as exc:
             search_max([complete(3), aborting], "kab-minor-free:3,4", 0.1, budget=3, jobs=jobs)
         assert exc.value.graph6 == aborting.to_graph6()
 
 
 def test_survivors_split_in_corpus_order_across_jobs():
     corpus = enumerate_graphs(6, True) + [join(complete(2), cycle(8))]
-    passing, undecided = survivors(corpus, "kab-minor-free:2,3", budget=3)
+    passing, undecided = _filter(corpus, "kab-minor-free:2,3", budget=3)
     assert passing and undecided
     rank = {g: i for i, g in enumerate(corpus)}
     for part in (passing, undecided):
         assert [rank[g] for g in part] == sorted(rank[g] for g in part)
     for jobs in (2, 3):
-        assert survivors(corpus, "kab-minor-free:2,3", budget=3, jobs=jobs) == (passing, undecided)
+        assert _filter(corpus, "kab-minor-free:2,3", budget=3, jobs=jobs) == (passing, undecided)
     free = [g for g in corpus if minors.has_minor(g, minors.complete_bipartite(2, 3)).verdict == "free"]
-    assert survivors(corpus, "kab-minor-free:2,3") == (free, [])
+    assert _filter(corpus, "kab-minor-free:2,3", minors.DEFAULT_BUDGET) == (free, [])
     assert set(passing) <= set(free)
+
+
+def test_survivors_raise_naming_the_first_undecided_graph():
+    # the list and the walk leave different graphs undecided, and each
+    # names its own first one
+    for corpus in (enumerate_graphs(7, True), InternalCorpus(7, True)):
+        first = _filter(corpus, "star-minor-free:4", 3)[1][0].to_graph6()
+        for jobs in (1, 2):
+            with pytest.raises(BudgetExhausted) as exc:
+                survivors(corpus, "star-minor-free:4", budget=3, jobs=jobs)
+            assert exc.value.graph6 == first
+            assert str(exc.value) == f"minor-search budget exhausted on candidate {first}"
 
 
 def test_internal_corpus_is_the_enumeration():
@@ -434,8 +447,8 @@ WALK_CONSTRAINTS = [f"star-minor-free:{b}" for b in range(1, 8)] + [
     "kab-minor-free:1,4"]
 
 
-def _connected_part(pair):
-    return tuple([g for g in part if g.is_connected()] for part in pair)
+def _connected_part(graphs):
+    return [g for g in graphs if g.is_connected()]
 
 
 @pytest.mark.parametrize("constraint", WALK_CONSTRAINTS)
@@ -468,8 +481,7 @@ def test_walk_skips_star_certificates_before_canonical_search(monkeypatch):
     search = extremal._canonical_search
     monkeypatch.setattr(extremal, "_canonical_search",
                         lambda rows, cells: calls.append(1) or search(rows, cells))
-    passing, undecided = survivors(InternalCorpus(8, True), "star-minor-free:5")
-    assert (len(passing), undecided) == (343, [])
+    assert len(survivors(InternalCorpus(8, True), "star-minor-free:5")) == 343
     assert len(calls) == 1279
 
 
@@ -481,8 +493,8 @@ def test_walk_under_starved_budget(budget):
     for constraint in ("star-minor-free:4", "kab-minor-free:2,3", "kab-minor-free:2,4",
                        "ab-property:2,4"):
         for n in (6, 7):
-            passing, undecided = survivors(enumerate_graphs(n), constraint, budget)
-            walked, walked_undecided = survivors(InternalCorpus(n), constraint, budget)
+            passing, undecided = _filter(enumerate_graphs(n), constraint, budget)
+            walked, walked_undecided = _filter(InternalCorpus(n), constraint, budget)
             assert walked == passing
             reached = set(walked_undecided)
             assert [g for g in undecided if g in reached] == walked_undecided
@@ -526,7 +538,7 @@ def test_star_constraints_are_budgeted():
     # examine before any larger set
     g = petersen_complement()
     for constraint in ("star-minor-free:8", "kab-minor-free:1,8"):
-        with pytest.raises(BudgetAbort) as exc:
+        with pytest.raises(BudgetExhausted) as exc:
             search_max([complete(3), g], constraint, 0.5, budget=5)
         assert exc.value.graph6 == g.to_graph6()
         assert search_max([complete(3), g], constraint, 0.5).survivors == 2
@@ -614,7 +626,7 @@ def test_layer_hooks_called_once_per_graph(monkeypatch):
         return spectral_radii(graphs, *args, **kwargs)
 
     corpus = enumerate_graphs(6, True)
-    passing, _ = survivors(corpus, "star-minor-free:3")
+    passing = survivors(corpus, "star-minor-free:3")
     monkeypatch.setattr(ex, "spectral_radii", recording)
     monkeypatch.setattr(ex, "star_minor_free", counting("star", ex.star_minor_free))
     rep = search_max(corpus, "star-minor-free:3", 0.5, jobs=1)

@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from kabminor import extremal, verify
+from kabminor import cli, extremal, minors, verify
 from kabminor.graphs import (
     complete,
     disjoint_union,
@@ -91,15 +91,15 @@ def test_edge_lemmas_pass():
         assert o.status == STATUS_PASS, o.to_json()
 
 
-def test_edge_lemmas_budget_inconclusive():
-    outs = check_edge_lemmas(budget=1)
-    # with a starved budget the property sweeps cannot conclude, and
-    # that must surface as inconclusive rather than pass
-    assert any(o.status == STATUS_INCONCLUSIVE for o in outs)
-    assert not any(o.status == STATUS_FAIL for o in outs)
-    star = next(o for o in outs if o.check_id == "edge-bound-star-minor-free")
-    assert star.status == STATUS_INCONCLUSIVE
-    assert "budget exhausted on part of the sweep" in star.notes
+@pytest.mark.parametrize("suite", ["theorem-small-n", "edge-lemmas"])
+def test_starved_verify_exits_budget(capsys, monkeypatch, suite):
+    # a budget of one expansion leaves star checks undecided: the filter
+    # raises, and verify reports budget exhaustion, never a status
+    monkeypatch.setattr(extremal, "star_minor_free",
+                        lambda g, b, budget=None: minors.star_minor_free(g, b, 1))
+    assert cli.main(["verify", suite]) == cli.EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: minor-search budget exhausted on candidate ")
 
 
 def test_polynomial_identities_pass():
