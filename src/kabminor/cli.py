@@ -13,7 +13,9 @@ minor command), 2 usage error, 3 budget-inconclusive (verify too).
 No graph the grammar or `construct extremal --n` builds, and no graph6
 input (a --corpus record included), has more than MAX_ORDER vertices; a
 larger order is a usage error, raised before the graph is built or any
-graph6 row decoded.
+graph6 row decoded.  A --corpus record is also a usage error above
+extremal.CANONICAL_MAX_N vertices, the largest order the ranking can put
+in canonical form.
 """
 
 from __future__ import annotations
@@ -203,6 +205,17 @@ def _read_graph6(text: str) -> Graph:
     return from_graph6(text)
 
 
+def _read_corpus_record(text: str) -> Graph:
+    """A --corpus record, decoded as by _read_graph6 once its order is
+    also within extremal.CANONICAL_MAX_N, the largest the ranking can put
+    in canonical form; both caps are checked before any row is decoded."""
+    order = graph6_order(text)
+    _capped(order)
+    if order > ex.CANONICAL_MAX_N:
+        raise OrderError(f"order {order} exceeds the canonical-form limit of {ex.CANONICAL_MAX_N} vertices")
+    return from_graph6(text)
+
+
 def _load_graph(text: str) -> Graph:
     """Family-spec or graph6 input ('g6:' prefix forces graph6)."""
     if text.startswith("g6:"):
@@ -320,7 +333,7 @@ def cmd_search(args) -> int:
         if args.n is not None and (args.a, args.b) == (None, None):
             raise SpecError("with --corpus, --n only feeds a prediction, which needs --a and --b")
         try:
-            corpus = ex.ingest_graph6(args.corpus, _read_graph6)
+            corpus = ex.ingest_graph6(args.corpus, _read_corpus_record)
         except OSError as exc:
             raise SpecError(f"cannot read --corpus {args.corpus}: {exc.strerror}") from exc
         source = args.corpus

@@ -493,7 +493,7 @@ def _mapper(jobs: int, count: int):
     """A map(fn, items) -> list over one fork pool when more than one
     worker is useful for count items: jobs, capped by count and the CPU
     count.  Results are in item order either way."""
-    workers = min(jobs, count, os.cpu_count() or 1)
+    workers = min(jobs, count, os.cpu_count() or 1) if jobs > 1 else 1
     if workers > 1:
         import multiprocessing  # here, so that serial runs never load it
 
@@ -612,7 +612,7 @@ def rank_survivors(passing, constraint: str, alpha: float, corpus_source: str,
     check_alpha(alpha)
     if not passing:
         raise ValueError("no corpus graph satisfies the constraint")
-    lams = [r.lam for r in spectral_radii(passing, alpha)]
+    lams = spectral_radii(passing, alpha)
     lam_max = max(lams)
     maximizers = sorted(
         canonical_graph(g).to_graph6()
@@ -660,8 +660,8 @@ def compare_candidates(candidates, alpha: float, jobs: int = 1):
     graphs = [g for _, g in items]
     size = -(-len(graphs) // jobs)
     slices = [graphs[i:i + size] for i in range(0, len(graphs), size)]
-    lams = [r.lam for part in _pmap(functools.partial(spectral_radii, alpha=alpha), slices, jobs)
-            for r in part]
+    lams = [lam for part in _pmap(functools.partial(spectral_radii, alpha=alpha), slices, jobs)
+            for lam in part]
     rows = [{"id": cid, "lambda": lam} for (cid, _), lam in zip(items, lams)]
     rows.sort(key=lambda r: (-r["lambda"], r["id"]))
     for i, r in enumerate(rows):

@@ -6,12 +6,14 @@ The alpha matrix of a graph is M = alpha*D + (1-alpha)*A with D the degree
 diagonal and A the adjacency matrix, alpha in [0, 1).  alpha = 0 gives the
 adjacency matrix; alpha = 1/2 gives half the signless Laplacian.
 
-spectral_radii is the one eigen path.  It splits a batch of graphs into
-connected components, stacks the alpha matrices of all components of one
-order into a (k, n, n) array, and makes one LAPACK eigh call per order,
-which runs the same routine on each matrix as a lone call would, so every
-result is bit-identical to a batch of one.  spectral_radius is the batch
-of one.
+There is one eigen path.  It splits a batch of graphs into connected
+components, stacks the alpha matrices of all components of one order into
+a (k, n, n) array, and makes one LAPACK eigh call per order, which runs
+the same routine on each matrix as a lone call would, so every result is
+bit-identical to a batch of one.  It checks every residual against
+RESIDUAL_TOL.  spectral_radii returns only the residual-checked radii of
+a batch; spectral_radius is the batch of one, and it alone builds the
+normalised (zero-padded, for a disconnected graph) Perron vector.
 """
 
 from __future__ import annotations
@@ -84,11 +86,15 @@ def _top_eigenpairs(row_lists, n: int, alpha: float):
     return lam.tolist(), x, resid.tolist()
 
 
-def spectral_radii(graphs, alpha: float) -> list[SpectralResult]:
-    """spectral_radius of each graph, by one stacked eigh per component
-    order.  Each result is bit-identical to the graph's own, whatever
-    else is in the batch; a residual above RESIDUAL_TOL anywhere in the
-    batch raises."""
+def _solve(graphs, alpha: float):
+    """The one eigen path: split a batch into components, make one stacked
+    eigh per component order, and raise if any residual exceeds
+    RESIDUAL_TOL.  Returns (solved, winners): solved maps a component order
+    to its _top_eigenpairs, and winners holds per graph (lam, order, slot,
+    vertices) of its winning component; vertices is None for a connected
+    graph.  Components are scanned by smallest vertex, and a later one
+    wins only when its radius exceeds the current winner's by more than
+    LAMBDA_TIE_TOL."""
     alpha = check_alpha(alpha)
     stacks: dict[int, list] = {}  # component order -> rows of its components
     layout = []  # per graph: (order, slot in that stack, vertices or None) per component
@@ -103,25 +109,25 @@ def spectral_radii(graphs, alpha: float) -> list[SpectralResult]:
             stack = stacks.setdefault(h.n, [])
             entry.append((h.n, len(stack), verts))
             stack.append(h.rows)
-        layout.append((g.n, entry))
+        layout.append(entry)
     solved = {n: _top_eigenpairs(rows, n, alpha) for n, rows in stacks.items()}
-    out = []
-    for n, entry in layout:
+    winners = []
+    for entry in layout:
         best = None
         for order, i, verts in entry:
             lam = solved[order][0][i]
             if best is None or lam > best[0] + LAMBDA_TIE_TOL:
                 best = (lam, order, i, verts)
-        lam, order, i, verts = best
-        _, xs, resids = solved[order]
-        if verts is None:
-            x = xs[i] / np.linalg.norm(xs[i])
-        else:
-            x = np.zeros(n)
-            x[verts] = xs[i]
-            x /= np.linalg.norm(x)
-        out.append(SpectralResult(lam, tuple(x.tolist()), resids[i], verts is None))
-    return out
+        winners.append(best)
+    return solved, winners
+
+
+def spectral_radii(graphs, alpha: float) -> list[float]:
+    """spectral_radius(g, alpha).lam of each graph, by one stacked eigh per
+    component order, with no eigenvectors built.  Each radius is
+    bit-identical to the graph's own, whatever else is in the batch; a
+    residual above RESIDUAL_TOL anywhere in the batch raises."""
+    return [w[0] for w in _solve(graphs, alpha)[1]]
 
 
 def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
@@ -130,9 +136,18 @@ def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
     Connected graphs get the positive Perron vector.  Disconnected graphs
     take the max over components; the vector of one maximizing component
     (the one containing the smallest vertex among maximizers) is
-    zero-padded to full length and flagged non-Perron.
+    zero-padded to full length and flagged non-Perron.  The solve is
+    spectral_radii's on a batch of one.
     """
-    return spectral_radii([g], alpha)[0]
+    solved, ((lam, order, i, verts),) = _solve([g], alpha)
+    _, xs, resids = solved[order]
+    if verts is None:
+        x = xs[i] / np.linalg.norm(xs[i])
+    else:
+        x = np.zeros(g.n)
+        x[verts] = xs[i]
+        x /= np.linalg.norm(x)
+    return SpectralResult(lam, tuple(x.tolist()), resids[i], verts is None)
 
 
 def eigen_equation_residual(g: Graph, alpha: float, res: SpectralResult) -> float:

@@ -156,6 +156,19 @@ def test_lambda_perron(capsys):
     assert data["is_perron"] and len(data["vector"]) == 5
 
 
+def test_lambda_perron_output_is_pinned(capsys):
+    # a disconnected graph: the Perron vector of the first of two tied K_4
+    # components, zero-padded
+    code, out, _ = run(capsys, "lambda", "union(K:4,C:5,K:4)", "--alpha", "0.5", "--perron",
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert out == (
+        '{"alpha": 0.5, "config": {"alpha": 0.5, "command": "lambda", "format": "json", '
+        '"version": "' + __version__ + '"}, "graph6": "L~?GGCH???_B?F", "is_perron": false, "lambda": 3.0, '
+        '"residual": 2.220446049250313e-16, "vector": [0.4999999999999999, 0.5, 0.5, 0.5, '
+        '0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}\n')
+
+
 def test_minor_exit_codes(capsys):
     # free -> 0
     code, out, _ = run(capsys, "minor", "C:6", "K_{1,3}", "--format", "json")
@@ -275,6 +288,14 @@ def test_corpus_records_above_the_cap_are_usage_errors(capsys, tmp_path, built_o
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: {f}:1: order {MAX_ORDER + 1} exceeds the cap of {MAX_ORDER} vertices\n"
     assert max(built_orders, default=0) <= MAX_ORDER
+
+
+def test_corpus_records_above_the_canonical_limit_are_usage_errors(capsys, tmp_path):
+    f = tmp_path / "p11.g6"
+    f.write_text(path_graph(11).to_graph6() + "\n")
+    code, out, err = run(capsys, "search", "--constraint", "star-minor-free:3", "--corpus", str(f))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {f}:1: order 11 exceeds the canonical-form limit of 10 vertices\n"
 
 
 def test_search_usage_errors(capsys):
