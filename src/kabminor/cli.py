@@ -16,6 +16,11 @@ larger order is a usage error, raised before the graph is built or any
 graph6 row decoded.  A --corpus record is also a usage error above
 extremal.CANONICAL_MAX_N vertices, the largest order the ranking can put
 in canonical form.
+
+Only the commands that solve spectra load numpy: the solver modules
+(extremal, spectral, verify) are imported inside lambda, search, verify
+and `construct extremal`, so --version, minor, a grammar construct and
+every usage error start with the pure-Python graphs and minors alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import json
 import sys
 
 from . import __version__
-from . import extremal as ex
 from .graphs import (
     Graph,
     clique_with_pendants,
@@ -47,7 +51,6 @@ from .graphs import (
     subdivided_clique,
 )
 from .minors import DEFAULT_BUDGET, BudgetExhausted, has_minor
-from .spectral import spectral_radius
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -209,6 +212,8 @@ def _read_corpus_record(text: str) -> Graph:
     """A --corpus record, decoded as by _read_graph6 once its order is
     also within extremal.CANONICAL_MAX_N, the largest the ranking can put
     in canonical form; both caps are checked before any row is decoded."""
+    from . import extremal as ex
+
     order = graph6_order(text)
     _capped(order)
     if order > ex.CANONICAL_MAX_N:
@@ -265,6 +270,8 @@ def cmd_construct(args) -> int:
         if args.a is None or args.b is None or args.n is None:
             raise SpecError("extremal needs --a, --b, --n")
         _capped(args.n)
+        from . import extremal as ex
+
         pred = ex.predict(args.a, args.b, args.n, args.alpha)
         g = pred.graph
         payload = {"graph6": None} if g is None else _summary(g)
@@ -281,6 +288,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_lambda(args) -> int:
+    from .spectral import spectral_radius
+
     g = _load_graph(args.spec)
     res = spectral_radius(g, args.alpha)
     payload = {
@@ -327,6 +336,8 @@ def cmd_minor(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import extremal as ex
+
     if args.corpus:
         if args.all_graphs:
             raise SpecError("--all-graphs applies only to the internal corpus")

@@ -337,9 +337,11 @@ class InternalCorpus:
 
 def ingest_graph6(path: str, decode=from_graph6):
     """Decode a file of newline-separated graph6 records, each by decode;
-    a record it rejects with ValueError raises with its line number."""
+    a record it rejects with ValueError raises with its line number.  Bytes
+    that are not UTF-8 decode to lone surrogates, which no graph6 record
+    holds, so decode rejects their line like any other bad record."""
     out = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -298,6 +299,16 @@ def test_corpus_records_above_the_canonical_limit_are_usage_errors(capsys, tmp_p
     assert err == f"error: {f}:1: order 11 exceeds the canonical-form limit of 10 vertices\n"
 
 
+def test_corpus_records_that_are_not_graph6_text_are_usage_errors(capsys, tmp_path):
+    # a byte that is not UTF-8, and a UTF-8 character outside graph6's range
+    f = tmp_path / "bytes.g6"
+    for record, shown in ((b"\xff", r"'\udcff'"), ("\u00e9".encode(), "'\u00e9'")):
+        f.write_bytes(b"A_\n" + record + b"\n")
+        code, out, err = run(capsys, "search", "--constraint", "star-minor-free:3", "--corpus", str(f))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {f}:2: character {shown} out of graph6 range\n"
+
+
 def test_search_usage_errors(capsys):
     code, _, err = run(capsys, "search", "--constraint", "star-minor-free:3")
     assert code == EXIT_USAGE
@@ -334,21 +345,56 @@ def test_verify_help_names_the_suites():
     assert suites.help == f"suites: {', '.join(verify.SUITES)} or all"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--version"],
-    ["search", "--n", "5", "--constraint", "star-minor-free:3", "--format", "json"],
-])
-def test_commands_leave_verify_and_multiprocessing_unloaded(argv):
-    # -X importtime lists every module the process imports
+def _imported(*args):
+    """Exit code and the names of every module a fresh interpreter imports
+    while it runs args; -X importtime lists each one on stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(kabminor.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "kabminor.cli", *argv],
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert "kabminor.extremal" in imported
+    return proc.returncode, {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
+# the modules that only the spectral solve and the searches built on it need
+SOLVER_MODULES = {"numpy", "kabminor.spectral", "kabminor.extremal"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["--version"], EXIT_OK, id="argv0"),
+    pytest.param(["search", "--n", "5", "--constraint", "star-minor-free:3", "--format", "json"],
+                 EXIT_OK, id="argv1"),
+    pytest.param(["minor", "petersen-complement", "K_{2,7}"], EXIT_OK, id="argv2"),
+    pytest.param(["construct", "K:5"], EXIT_OK, id="argv3"),
+    pytest.param(["frobnicate"], EXIT_USAGE, id="argv4"),
+])
+def test_commands_leave_verify_and_multiprocessing_unloaded(argv, code):
+    returncode, imported = _imported("-m", "kabminor.cli", *argv)
+    assert returncode == code
     assert "kabminor.verify" not in imported
     assert not any(m.split(".")[0] == "multiprocessing" for m in imported)
+    if argv[0] == "search":
+        assert SOLVER_MODULES <= imported
+    else:
+        # pure-Python commands and usage errors start without numpy
+        assert {"kabminor.graphs", "kabminor.minors"} <= imported
+        assert not any(m in SOLVER_MODULES or m.startswith("numpy.") for m in imported)
+
+
+def test_package_names_load_their_submodule_on_first_use():
+    code, imported = _imported("-c", "import kabminor")
+    assert code == EXIT_OK and "kabminor" in imported
+    assert not any(m.startswith("kabminor.") or m.split(".")[0] == "numpy" for m in imported)
+    for module, names in kabminor._EXPORTS.items():
+        sub = importlib.import_module(f"kabminor.{module}")
+        assert getattr(kabminor, module) is sub
+        for name in names:
+            assert getattr(kabminor, name) is getattr(sub, name)
+    # each of the package's 44 public names once
+    assert len(set(kabminor.__all__)) == len(kabminor.__all__) == 44
+    assert set(kabminor.__all__) <= set(dir(kabminor))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        kabminor.no_such_name
+    assert verify is importlib.import_module("kabminor.verify")
 
 
 def test_usage_exit_codes(capsys):
