@@ -57,10 +57,13 @@ from .graphs import (
     from_graph6,
 )
 from .minors import (
+    VERDICT_BUDGET,
+    VERDICT_CONTAINS,
+    VERDICT_FREE,
     BudgetExhausted,
-    ab_property,
-    all_free,
+    ab_pairs,
     find_clique_dominating_set,
+    fold_verdicts,
     has_minor,
     minor_free_given_apex,
     star_certificate,
@@ -438,25 +441,16 @@ def parse_constraint(tag: str):
     raise ValueError(f"unknown constraint {tag!r}")
 
 
-def _check_constraint(g: Graph, name: str, args, budget: int) -> bool:
-    """Whether g satisfies the constraint; raises BudgetExhausted when the
-    minor search runs out of budget first."""
-    if name == "star-minor-free" or (name == "kab-minor-free" and args[0] == 1):
-        return star_minor_free(g, args[-1], budget)
+def _forbidden_pairs(tag: str) -> tuple[tuple[int, int], ...]:
+    """The (r, s) of every K_{r,s} minor the constraint forbids:
+    star-minor-free:b forbids (1, b), kab-minor-free:a,b forbids (a, b),
+    and ab-property:a,b forbids minors.ab_pairs(a, b)."""
+    name, args = parse_constraint(tag)
+    if name == "star-minor-free":
+        return ((1, args[0]),)
     if name == "kab-minor-free":
-        return all_free([has_minor(g, complete_bipartite(*args), budget).verdict], budget)
-    if name == "ab-property":
-        return all_free(ab_property(g, *args, budget).verdicts, budget)
-    raise ValueError(f"unknown constraint {name!r}")
-
-
-def _star_pattern(name: str, args) -> int | None:
-    """s when the constraint fails on every graph with a K_{1,s} minor:
-    star-minor-free:s, kab-minor-free:1,s, and ab-property:a,s through
-    its r = 1 pair; None for kab-minor-free:a,b with a >= 2."""
-    if name == "kab-minor-free" and args[0] > 1:
-        return None
-    return args[-1]
+        return (args,)
+    return ab_pairs(*args)
 
 
 @dataclass(frozen=True)
@@ -492,50 +486,63 @@ class SearchReport:
 
 @contextmanager
 def _mapper(jobs: int, count: int):
-    """A map(fn, items) -> list over one fork pool when more than one
-    worker is useful for count items: jobs, capped by count and the CPU
-    count.  Results are in item order either way."""
+    """A map(fn, items) -> list for a list-in, list-out fn: fn runs on
+    contiguous slices of items and their results are joined in item order.
+    The map runs fn on the whole list, one slice, in this process unless
+    more than one worker is useful for count items: jobs, capped by count
+    and the CPU count.  Then one fork pool, for the whole block, maps about
+    four slices per worker."""
     workers = min(jobs, count, os.cpu_count() or 1) if jobs > 1 else 1
-    if workers > 1:
-        import multiprocessing  # here, so that serial runs never load it
+    if workers == 1:
+        yield lambda fn, items: fn(items)
+        return
+    import multiprocessing  # here, so that serial runs never load it
 
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            yield pool.map
-    else:
-        yield lambda fn, items: [fn(x) for x in items]
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        def pmap(fn, items):
+            size = -(-len(items) // (4 * workers)) or 1
+            parts = pool.map(fn, [items[i:i + size] for i in range(0, len(items), size)])
+            return [x for part in parts for x in part]
+
+        yield pmap
 
 
-def _pmap(fn, items, jobs: int):
-    """[fn(x) for x in items], over a pool of _mapper's size."""
-    with _mapper(jobs, len(items)) as pmap:
-        return pmap(fn, items)
+def _pair_verdict(g: Graph, r: int, s: int, budget: int) -> str:
+    """g's verdict on a K_{r,s} minor: by star_minor_free when r = 1, by
+    has_minor otherwise."""
+    if r > 1:
+        return has_minor(g, complete_bipartite(r, s), budget).verdict
+    try:
+        return VERDICT_FREE if star_minor_free(g, s, budget) else VERDICT_CONTAINS
+    except BudgetExhausted:
+        return VERDICT_BUDGET
 
 
-def _verdicts(graphs, constraint: str, budget: int):
-    """Per graph: whether it satisfies the constraint, or None when its
-    check ran out of budget."""
-    name, args = parse_constraint(constraint)
+def _verdicts(graphs, pairs, budget: int):
+    """Per graph, fold_verdicts of its checks against the forbidden pairs:
+    True when it has none of their K_{r,s} minors, False when it has one,
+    None when none was found but a check ran out of budget.  The pairs are
+    tried in order, and the first minor found ends a graph's checks."""
     out = []
     for g in graphs:
-        try:
-            out.append(_check_constraint(g, name, args, budget))
-        except BudgetExhausted:
-            out.append(None)
+        verdicts = []
+        for r, s in pairs:
+            verdicts.append(_pair_verdict(g, r, s, budget))
+            if verdicts[-1] == VERDICT_CONTAINS:
+                break
+        out.append(fold_verdicts(verdicts))
     return out
-
-
-def _check_all(graphs, constraint: str, budget: int, jobs: int, pmap):
-    """_verdicts over graphs cut into contiguous slices, about four per
-    job, mapped by pmap and joined in order."""
-    size = -(-len(graphs) // (4 * jobs)) or 1
-    slices = [graphs[i:i + size] for i in range(0, len(graphs), size)]
-    check = functools.partial(_verdicts, constraint=constraint, budget=budget)
-    return [v for part in pmap(check, slices) for v in part]
 
 
 def _filter(corpus, constraint: str, budget: int, jobs: int = 1):
     """(passing, undecided): the corpus graphs that satisfy the constraint
-    and those whose check ran out of budget, each in corpus order.
+    and those left undecided, each in corpus order.
+
+    The constraint is parsed once into the K_{r,s} it forbids
+    (_forbidden_pairs), and every graph is checked against them by
+    _verdicts: a graph with a minor found fails, even when another pair's
+    check ran out of budget, and a graph is undecided only when no minor
+    was found and some check ran out of budget.
 
     A list or other iterable corpus is checked graph by graph.  An
     InternalCorpus is filtered while it is generated: at each order
@@ -543,7 +550,7 @@ def _filter(corpus, constraint: str, budget: int, jobs: int = 1):
     undecided are extended to order m + 1 (_extend).  connected_only
     applies at order n alone, where _extend skips the augmentations that
     give a disconnected child.  When the constraint forbids a K_{1,s}
-    minor (_star_pattern), _extend also drops every child with a
+    minor, a (1, s) pair, _extend also drops every child with a
     certificate of one (minors.star_certificate), which fails the
     constraint.  The constraint is closed under vertex deletion, so every
     vertex-deleted subgraph of a passing graph passes or is undecided, and
@@ -553,22 +560,23 @@ def _filter(corpus, constraint: str, budget: int, jobs: int = 1):
     would run out of budget is dropped when a parent failed or it has a
     certificate.
 
-    With jobs > 1 one pool, for the whole call, checks contiguous slices,
-    and the verdicts are joined in order, so results are independent of
+    The checks run through one _mapper for the whole call, which joins
+    the verdicts of its slices in order, so results are independent of
     jobs."""
-    star = _star_pattern(*parse_constraint(constraint))
+    pairs = _forbidden_pairs(constraint)
+    star = next((s for r, s in pairs if r == 1), None)
+    check = functools.partial(_verdicts, pairs=pairs, budget=budget)
     if isinstance(corpus, InternalCorpus):
-        with _mapper(jobs, len(corpus)) as pmap:
-            level = enumerate_graphs(1)
-            verdicts = _check_all(level, constraint, budget, jobs, pmap)
-            for m in range(2, corpus.n + 1):
-                level = _extend([g for g, v in zip(level, verdicts) if v is not False], m,
-                                connected_only=corpus.connected_only and m == corpus.n, star=star)
-                verdicts = _check_all(level, constraint, budget, jobs, pmap)
+        level, orders, count = enumerate_graphs(1), range(2, corpus.n + 1), len(corpus)
     else:
         level = list(corpus)
-        with _mapper(jobs, len(level)) as pmap:
-            verdicts = _check_all(level, constraint, budget, jobs, pmap)
+        orders, count = (), len(level)
+    with _mapper(jobs, count) as pmap:
+        verdicts = pmap(check, level)
+        for m in orders:
+            level = _extend([g for g, v in zip(level, verdicts) if v is not False], m,
+                            connected_only=corpus.connected_only and m == corpus.n, star=star)
+            verdicts = pmap(check, level)
     return ([g for g, v in zip(level, verdicts) if v],
             [g for g, v in zip(level, verdicts) if v is None])
 
@@ -650,8 +658,8 @@ def compare_candidates(candidates, alpha: float, jobs: int = 1):
     with strict-order flags at the tie tolerance.
 
     candidates: list of (id, Graph).  Returns a list of dict rows;
-    independent of jobs, which cut the candidates into that many
-    contiguous slices for spectral_radii."""
+    independent of jobs: spectral_radii runs over contiguous slices of the
+    candidates (_mapper), one batch when jobs is 1."""
     check_alpha(alpha)
     items = list(candidates)
     if not items:
@@ -659,11 +667,8 @@ def compare_candidates(candidates, alpha: float, jobs: int = 1):
     n0 = items[0][1].n
     if any(g.n != n0 for _, g in items):
         raise ValueError("candidates must share one order")
-    graphs = [g for _, g in items]
-    size = -(-len(graphs) // jobs)
-    slices = [graphs[i:i + size] for i in range(0, len(graphs), size)]
-    lams = [lam for part in _pmap(functools.partial(spectral_radii, alpha=alpha), slices, jobs)
-            for lam in part]
+    with _mapper(jobs, len(items)) as pmap:
+        lams = pmap(functools.partial(spectral_radii, alpha=alpha), [g for _, g in items])
     rows = [{"id": cid, "lambda": lam} for (cid, _), lam in zip(items, lams)]
     rows.sort(key=lambda r: (-r["lambda"], r["id"]))
     for i, r in enumerate(rows):

@@ -5,8 +5,12 @@ A branch-set model of H inside G assigns each H-vertex a nonempty
 connected vertex subset of G, all pairwise disjoint, with a cross edge in
 G for every edge of H.  Searches are exact within an expansion budget;
 budget exhaustion is a first-class third verdict, never coerced to
-"free" or "contains"; the boolean checks raise BudgetExhausted, the one
-budget exception, which extremal.survivors makes name its candidate.
+"free" or "contains".  A check against several patterns (the pairs of
+the (a,b)-property from ab_pairs, or a corpus filter's constraint) folds
+its verdicts with fold_verdicts: a found minor decides "not free" even
+when another pattern ran out of budget, and the budget verdict applies
+only when none was found.  The boolean checks raise BudgetExhausted, the
+one budget exception, which extremal.survivors makes name its candidate.
 
 The search breaks the symmetry of the pattern: twins of H (vertices
 whose rows are equal once their mutual bit is cleared, as in one side of
@@ -252,44 +256,55 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
 
 
 def star_minor_free(g: Graph, b: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """K_{1,b}-minor freeness via the boundary criterion (_star_boundary);
-    raises BudgetExhausted when the expansion budget runs out first."""
+    """K_{1,b}-minor freeness via the boundary criterion (_star_boundary)
+    in each component of more than b vertices, as has_minor's star route:
+    the same verdict for the same expansions, without the witness.  Raises
+    BudgetExhausted when the expansion budget runs out first."""
     if b < 1:
         raise ValueError("need b >= 1")
-    s, _, _ = _star_boundary(g, b, budget, (1 << g.n) - 1)
-    return not s
+    spent = 0
+    for mask in g.component_masks():
+        if mask.bit_count() > b:
+            s, _, used = _star_boundary(g, b, budget - spent, mask)
+            if s:
+                return False
+            spent += used
+    return True
 
 
-def all_free(verdicts, budget: int) -> bool:
-    """Whether every verdict is free; raises BudgetExhausted when one of
-    them ran out of the expansion budget instead."""
+def fold_verdicts(verdicts) -> bool | None:
+    """The one fold of per-pattern verdicts into freeness: False when any
+    pattern was found (a found minor decides, whatever else ran out of
+    budget), else None when any search ran out of budget, else True."""
+    if VERDICT_CONTAINS in verdicts:
+        return False
     if VERDICT_BUDGET in verdicts:
-        raise BudgetExhausted(f"expansion budget {budget} exhausted")
-    return all(v == VERDICT_FREE for v in verdicts)
+        return None
+    return True
+
+
+def ab_pairs(a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """The (r, s) of every K_{r,s} minor the (a,b)-property forbids: each
+    split r + s = b + 1 with r <= omega = min(a, floor((b+1)/2)), by
+    increasing r."""
+    if not 1 <= a <= b:
+        raise ValueError("need 1 <= a <= b")
+    return tuple((r, b + 1 - r) for r in range(1, min(a, (b + 1) // 2) + 1))
 
 
 @dataclass(frozen=True)
 class AbPropertyReport:
     checked_pairs: tuple[tuple[int, int], ...]
     verdicts: tuple[str, ...]  # "free" | "contains" | "budget" per pair
-    overall: bool
+    overall: bool | None  # fold_verdicts: None when undecided
 
 
 def ab_property(g: Graph, a: int, b: int, budget: int = DEFAULT_BUDGET) -> AbPropertyReport:
-    """K_{r,s}-minor freeness for every split r+s = b+1 with r bounded by
-    omega = min(a, floor((b+1)/2)), each pair decided by has_minor within
-    the budget."""
-    if not 1 <= a <= b:
-        raise ValueError("need 1 <= a <= b")
-    omega = min(a, (b + 1) // 2)
-    pairs = []
-    verdicts = []
-    for r in range(1, omega + 1):
-        s = b + 1 - r
-        pairs.append((r, s))
-        verdicts.append(has_minor(g, complete_bipartite(r, s), budget).verdict)
-    overall = all(v == VERDICT_FREE for v in verdicts)
-    return AbPropertyReport(tuple(pairs), tuple(verdicts), overall)
+    """K_{r,s}-minor freeness for every pair of ab_pairs(a, b), each pair
+    decided by has_minor within the budget."""
+    pairs = ab_pairs(a, b)
+    verdicts = tuple(has_minor(g, complete_bipartite(r, s), budget).verdict for r, s in pairs)
+    return AbPropertyReport(pairs, verdicts, fold_verdicts(verdicts))
 
 
 def ab_property_complement_criterion(g: Graph, a: int, b: int) -> bool:
@@ -299,7 +314,7 @@ def ab_property_complement_criterion(g: Graph, a: int, b: int) -> bool:
         raise ValueError("criterion applies to graphs of order b+1")
     if not g.is_connected():
         raise ValueError("criterion applies to connected graphs")
-    omega = min(a, (b + 1) // 2)
+    omega = len(ab_pairs(a, b))
     comp = g.complement()
     return all(m.bit_count() >= omega + 1 for m in comp.component_masks())
 
@@ -319,8 +334,8 @@ def minor_free_given_apex(g: Graph, S, a: int, b: int, budget: int = DEFAULT_BUD
     """K_{a,b}-minor freeness via the dominating-clique reduction: with S
     a clique dominating set of size a-1, it is equivalent to the
     (a,b)-property of g minus S.  For a = 1, S is empty and the check is
-    has_minor(g, K_{1,b}).  Raises BudgetExhausted when a pair runs out of
-    budget."""
+    has_minor(g, K_{1,b}).  A pair found decides False; otherwise raises
+    BudgetExhausted when a pair runs out of budget."""
     S = tuple(sorted(S))
     if len(S) != a - 1:
         raise ValueError("S must have size a-1")
@@ -330,4 +345,7 @@ def minor_free_given_apex(g: Graph, S, a: int, b: int, budget: int = DEFAULT_BUD
     rest = [v for v in range(g.n) if v not in S]
     if len(rest) != g.n - len(S):
         raise ValueError("S has repeated vertices")
-    return all_free(ab_property(g.induced(rest), a, b, budget).verdicts, budget)
+    free = ab_property(g.induced(rest), a, b, budget).overall
+    if free is None:
+        raise BudgetExhausted(f"expansion budget {budget} exhausted")
+    return free

@@ -150,17 +150,6 @@ def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
     return SpectralResult(lam, tuple(x.tolist()), resids[i], verts is None)
 
 
-def eigen_equation_residual(g: Graph, alpha: float, res: SpectralResult) -> float:
-    """Worst-case violation of lam*x_v = alpha*d(v)*x_v + (1-alpha)*sum of
-    neighbour coordinates, re-derived entrywise from the graph."""
-    worst = 0.0
-    x = res.vector
-    for v in range(g.n):
-        rhs = alpha * g.degree(v) * x[v] + (1 - alpha) * sum(x[u] for u in g.neighbors(v))
-        worst = max(worst, abs(res.lam * x[v] - rhs))
-    return worst
-
-
 # ---------------------------------------------------------------------
 # equitable partitions and quotient matrices
 # ---------------------------------------------------------------------
@@ -365,38 +354,3 @@ def perron_stats(g: Graph, alpha: float, S) -> PerronStats:
         upper_margin = math.inf
         upper_ok = True
     return PerronStats(xM, xm, lower_margin >= 0, lower_margin, upper_ok, upper_margin)
-
-
-# ---------------------------------------------------------------------
-# majorization
-# ---------------------------------------------------------------------
-
-def majorization_check(X, Y) -> bool:
-    """X majorized by Y: equal totals and every prefix sum of sorted-desc
-    X at most that of Y."""
-    X, Y = list(X), list(Y)
-    if len(X) != len(Y):
-        raise ValueError("length mismatch")
-    xs = sorted(X, reverse=True)
-    ys = sorted(Y, reverse=True)
-    if sum(xs) != sum(ys):
-        return False
-    px = py = 0
-    for a, b in zip(xs, ys):
-        px += a
-        py += b
-        if px > py:
-            return False
-    return True
-
-
-def dot_inequality(X, Y, Z) -> bool:
-    """For X majorized by Y and Z sorted non-increasing: X.Z <= Y.Z."""
-    X, Y, Z = list(X), list(Y), list(Z)
-    if not (len(X) == len(Y) == len(Z)):
-        raise ValueError("length mismatch")
-    if any(Z[i] < Z[i + 1] for i in range(len(Z) - 1)):
-        raise ValueError("Z must be sorted non-increasing")
-    xs = sorted(X, reverse=True)
-    ys = sorted(Y, reverse=True)
-    return sum(a * z for a, z in zip(xs, Z)) <= sum(a * z for a, z in zip(ys, Z))

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import json
 import multiprocessing
-import operator
 from types import SimpleNamespace
 
 import networkx as nx
@@ -418,6 +417,20 @@ def test_survivors_split_in_corpus_order_across_jobs():
     assert set(passing) <= set(free)
 
 
+def test_found_minor_decides_over_a_starved_pair():
+    # join(K_1, C_8) has a vertex of degree 8, a K_{1,4} minor, so it fails
+    # ab-property:2,4 however starved its K_{2,3} search would be
+    aborting = join(complete(1), cycle(8))
+    assert _filter([aborting], "ab-property:2,4", 3) == ([], [])
+    assert survivors([complete(3), aborting], "ab-property:2,4", budget=3) == [complete(3)]
+    # the r = 1 pair of a graph too small for the star spends no budget,
+    # in the filter as in ab_property
+    assert _filter([complete(3)], "ab-property:1,4", 1) == ([complete(3)], [])
+    # with no minor found, a starved pair leaves the graph undecided
+    undecided = from_graph6("DFw")
+    assert _filter([undecided], "ab-property:2,4", 10) == ([], [undecided])
+
+
 def test_survivors_raise_naming_the_first_undecided_graph():
     # the list and the walk leave different graphs undecided, and each
     # names its own first one
@@ -575,8 +588,10 @@ def test_compare_candidates_jobs_invariant():
 
 
 def test_pmap_pool_is_capped_by_items_and_cpus(monkeypatch):
-    # a fake pool records its size and maps serially, so no process starts
+    # a fake pool records its size and the slices it maps, and maps
+    # serially, so no process starts
     sizes = []
+    slices = []
 
     class FakePool:
         def __init__(self, size):
@@ -589,19 +604,33 @@ def test_pmap_pool_is_capped_by_items_and_cpus(monkeypatch):
             return False
 
         def map(self, fn, items):
+            slices.extend(items)
             return [fn(x) for x in items]
+
+    def double(xs):
+        return [2 * x for x in xs]
+
+    def run(items, jobs):
+        with extremal._mapper(jobs, len(items)) as pmap:
+            return pmap(double, items)
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
     monkeypatch.setattr(extremal.os, "cpu_count", lambda: 4)
-    double = functools.partial(operator.mul, 2)
-    assert extremal._pmap(double, [1, 2, 3], 5000) == [2, 4, 6]
-    assert extremal._pmap(double, list(range(10)), 5000) == list(range(0, 20, 2))
-    assert extremal._pmap(double, list(range(10)), 3) == list(range(0, 20, 2))
-    assert extremal._pmap(double, [1, 2, 3], 1) == [2, 4, 6]
+    assert run([1, 2, 3], 5000) == [2, 4, 6]
+    assert run(list(range(10)), 5000) == list(range(0, 20, 2))
+    assert run(list(range(10)), 3) == list(range(0, 20, 2))
+    assert run([1, 2, 3], 1) == [2, 4, 6]
     assert sizes == [3, 4, 3]
     monkeypatch.setattr(extremal.os, "cpu_count", lambda: None)
-    assert extremal._pmap(double, [1, 2, 3], 5000) == [2, 4, 6]
+    assert run([1, 2, 3], 5000) == [2, 4, 6]
     assert sizes == [3, 4, 3]
+    # a pooled map cuts contiguous slices, about four per worker, and
+    # joins their results in item order
+    monkeypatch.setattr(extremal.os, "cpu_count", lambda: 4)
+    slices.clear()
+    assert run(list(range(50)), 3) == list(range(0, 100, 2))
+    assert sizes == [3, 4, 3, 3]
+    assert len(slices) == 10 and [x for part in slices for x in part] == list(range(50))
 
 
 def test_layer_hooks_called_once_per_graph(monkeypatch):

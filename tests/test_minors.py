@@ -11,6 +11,7 @@ from kabminor.graphs import (
     cycle,
     disjoint_union,
     from_edges,
+    from_graph6,
     join,
     path_graph,
     petersen,
@@ -28,9 +29,11 @@ from kabminor.minors import (
     MinorWitness,
     _connected_subsets,
     _minor_search,
+    ab_pairs,
     ab_property,
     ab_property_complement_criterion,
     find_clique_dominating_set,
+    fold_verdicts,
     has_minor,
     minor_free_given_apex,
     star_certificate,
@@ -232,6 +235,29 @@ def test_ab_property_star_pair_is_budgeted():
     assert ab_property(complete(4), 1, 3).verdicts == (VERDICT_CONTAINS,)
 
 
+def test_ab_property_overall_is_the_fold():
+    # a found minor decides whatever else ran out; a budget verdict with
+    # no minor found leaves the property undecided
+    rep = ab_property(join(complete(1), cycle(8)), 2, 4, budget=3)
+    assert rep.verdicts == (VERDICT_CONTAINS, VERDICT_BUDGET) and rep.overall is False
+    rep = ab_property(from_graph6("DFw"), 2, 4, budget=10)
+    assert rep.verdicts == (VERDICT_FREE, VERDICT_BUDGET) and rep.overall is None
+    assert fold_verdicts([VERDICT_BUDGET, VERDICT_CONTAINS]) is False
+    assert fold_verdicts([VERDICT_FREE, VERDICT_BUDGET]) is None
+    assert fold_verdicts([VERDICT_FREE, VERDICT_FREE]) is True
+    assert fold_verdicts([]) is True
+
+
+def test_ab_pairs():
+    assert ab_pairs(1, 3) == ((1, 3),)
+    assert ab_pairs(2, 4) == ((1, 4), (2, 3))
+    assert ab_pairs(3, 5) == ((1, 5), (2, 4), (3, 3))
+    assert ab_pairs(4, 5) == ((1, 5), (2, 4), (3, 3))  # omega = floor(6 / 2)
+    for a, b in ((0, 3), (4, 3)):
+        with pytest.raises(ValueError):
+            ab_pairs(a, b)
+
+
 def test_complement_criterion_examples():
     g = star_forest(2, 5).complement()
     assert ab_property_complement_criterion(g, 2, 5)
@@ -265,6 +291,12 @@ def test_minor_free_given_apex():
     assert has_minor(h, complete_bipartite(2, 3)).verdict == VERDICT_CONTAINS
     with pytest.raises(ValueError):
         minor_free_given_apex(g, (1,), 2, 3)
+    # g minus the apex has a degree-8 vertex, a K_{1,4} minor, while the
+    # starved K_{2,3} search runs out: the found minor decides
+    g = join(complete(1), join(complete(1), cycle(8)))
+    assert minor_free_given_apex(g, (0,), 2, 4, budget=3) is False
+    with pytest.raises(BudgetExhausted):
+        minor_free_given_apex(join(complete(1), from_graph6("DFw")), (0,), 2, 4, budget=10)
 
 
 def test_apex_route_agrees_with_generic_enumerated():
@@ -310,12 +342,15 @@ def test_petersen_complement_property():
 
 
 def test_star_minor_free_budget():
-    # star_minor_free spends expansions exactly as has_minor's star route
-    g = petersen_complement()
-    spent = has_minor(g, complete_bipartite(1, 8)).expansions
-    assert star_minor_free(g, 8, budget=spent)
-    with pytest.raises(BudgetExhausted):
-        star_minor_free(g, 8, budget=spent - 1)
+    # star_minor_free spends expansions exactly as has_minor's star route:
+    # component by component, skipping those too small for the star
+    for g in enumerate_graphs(6) + [petersen_complement()]:
+        for b in range(2, 9):
+            w = has_minor(g, star(b))
+            assert star_minor_free(g, b, budget=w.expansions or 1) == (w.verdict == VERDICT_FREE)
+            if w.expansions:
+                with pytest.raises(BudgetExhausted):
+                    star_minor_free(g, b, budget=w.expansions - 1)
 
 
 def _plain_has_minor(g, h):
