@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -376,8 +377,10 @@ def cmd_verify(args) -> int:
     if args.b is not None:
         if names != ["lemma-updown"]:
             raise SpecError("--b applies only to the lemma-updown suite run alone")
-        lo, _, hi = args.b.partition("..")
-        bs = range(int(lo), int(hi or lo) + 1)
+        m = re.fullmatch(r"(-?\d+)(?:\.\.(-?\d+))?", args.b)
+        if m is None:
+            raise SpecError(f"--b takes B or LO..HI, got {args.b!r}")
+        bs = range(int(m[1]), int(m[2] or m[1]) + 1)
         if not bs:
             raise SpecError(f"empty --b range {args.b!r}")
         if bs[0] < 3:
@@ -461,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suites", nargs="*", help=f"suites: {', '.join(SUITE_NAMES)} or all")
-    p.add_argument("--b", help="b range for lemma-updown, e.g. 3..8")
+    p.add_argument("--b", help="b or b range LO..HI for lemma-updown, e.g. 3..8")
     options(p, formats=("json", "table", "csv"))
     p.set_defaults(func=cmd_verify)
     return ap

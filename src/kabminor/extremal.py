@@ -432,6 +432,8 @@ def parse_constraint(tag: str):
     except ValueError:
         raise ValueError(f"bad constraint arguments in {tag!r}")
     if name == "star-minor-free" and len(nums) == 1:
+        if nums[0] < 1:
+            raise ValueError(f"need b >= 1 in {tag!r}")
         return name, tuple(nums)
     if name in ("kab-minor-free", "ab-property") and len(nums) == 2:
         a, b = nums

@@ -21,13 +21,16 @@ verdict unchanged.
 
 Both searches walk connected vertex sets with _connected_subsets, which
 yields each set exactly once together with the OR of its rows, so a
-candidate's neighbourhood is never recomputed; one expansion is one set
-examined.
+candidate's neighbourhood is never recomputed.  One expansion is one
+connected set examined.  The count is part of the contract of the
+`minor` report (its "expansions" field) and fixes the exact expansion at
+which a budget runs out, so a change that only makes the search faster
+must try the same sets in the same order and leave every count as it
+is; tests/test_minors.py pins them with a digest.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graphs import Graph, _bits, _twin_classes, complete_bipartite
@@ -91,30 +94,34 @@ def _connected_subsets(rows, allowed: int, max_size: int):
     set's extensions are tried candidate by candidate, and a tried
     candidate leaves the set's `allowed` for its later candidates and all
     their descendants, so each set is yielded once, in the branch of the
-    first candidate it contains.  The walk is depth first over an explicit
-    stack of [S, N, untried candidates, allowed] frames, so the depth of a
-    set costs no recursion."""
+    first candidate it contains.  The walk is depth first: the current
+    set's (S, N, untried candidates, allowed) live in locals, and an
+    explicit stack holds those of the sets it grew from, so the depth of
+    a set costs no recursion.  Roots are taken lowest bit first."""
     rest = allowed
-    for v in _bits(allowed):
-        s, nb = 1 << v, rows[v]
-        yield s, nb
-        stack = [[s, nb, nb & rest & ~s, rest]] if max_size > 1 else []
-        while stack:
-            top = stack[-1]
-            cand = top[2]
+    stack = []
+    while rest:
+        fs = rest & -rest
+        fnb = rows[fs.bit_length() - 1]
+        yield fs, fnb
+        ext = rest
+        cand = fnb & rest & ~fs if max_size > 1 else 0
+        while True:
             if not cand:
-                stack.pop()
+                if not stack:
+                    break
+                fs, fnb, cand, ext = stack.pop()
                 continue
             low = cand & -cand
-            top[2] = cand ^ low
-            ext = top[3]
-            top[3] = ext & ~low
-            s = top[0] | low
-            nb = top[1] | rows[low.bit_length() - 1]
+            cand ^= low
+            ext &= ~low
+            s = fs | low
+            nb = fnb | rows[low.bit_length() - 1]
             yield s, nb
             if s.bit_count() < max_size:
-                stack.append([s, nb, nb & ext & ~s, ext])
-        rest &= ~(1 << v)
+                stack.append((fs, fnb, cand, ext))
+                fs, fnb, cand = s, nb, nb & ext & ~s
+        rest &= rest - 1
 
 
 def _minor_search(g: Graph, h: Graph, budget: int, within: int):
@@ -136,10 +143,11 @@ def _minor_search(g: Graph, h: Graph, budget: int, within: int):
     for cls in _twin_classes(h.rows, order):
         for prev, hv in zip(cls, cls[1:]):
             twin_before[pos[hv]] = pos[prev]
-    counter = [0]
+    count = 0
     branch = [0] * nh
 
     def assign(i: int, used: int):
+        nonlocal count
         if i == nh:
             return True
         free = within & ~used
@@ -152,24 +160,26 @@ def _minor_search(g: Graph, h: Graph, budget: int, within: int):
             allowed &= ~((low & -low) * 2 - 1)
         placed_masks = [branch[j] for j in placed_nbrs[i]]
         for s, nb in _connected_subsets(g.rows, allowed, slack + 1):
-            counter[0] += 1
-            if counter[0] > budget:
+            count += 1
+            if count > budget:
                 raise BudgetExhausted(f"expansion budget {budget} exhausted")
-            if not all(nb & pm for pm in placed_masks):
-                continue
-            branch[i] = s
-            if assign(i + 1, used | s):
-                return True
+            for pm in placed_masks:
+                if not nb & pm:
+                    break
+            else:
+                branch[i] = s
+                if assign(i + 1, used | s):
+                    return True
         return False
 
     found = assign(0, 0)
     if not found:
-        return False, None, counter[0]
+        return False, None, count
     # undo the placement order: report branch sets indexed by H-vertex
     out = [0] * nh
     for i, hv in enumerate(order):
         out[hv] = branch[i]
-    return True, out, counter[0]
+    return True, out, count
 
 
 def _star_boundary(g: Graph, b: int, budget: int, within: int):
@@ -180,10 +190,17 @@ def _star_boundary(g: Graph, b: int, budget: int, within: int):
     expansions); one expansion per connected set examined, and raises
     BudgetExhausted past the budget.  Singletons go first, since a vertex
     of degree >= b settles it; larger sets need |S| <= |within| - b."""
-    singletons = ((1 << v, g.rows[v]) for v in _bits(within))
-    larger = ((s, nb) for s, nb in _connected_subsets(g.rows, within, within.bit_count() - b) if s & (s - 1))
+    rows = g.rows
     count = 0
-    for s, nb in itertools.chain(singletons, larger):
+    for v in _bits(within):
+        count += 1
+        if count > budget:
+            raise BudgetExhausted(f"expansion budget {budget} exhausted")
+        if rows[v].bit_count() >= b:
+            return 1 << v, rows[v], count
+    for s, nb in _connected_subsets(rows, within, within.bit_count() - b):
+        if not s & (s - 1):
+            continue
         count += 1
         if count > budget:
             raise BudgetExhausted(f"expansion budget {budget} exhausted")

@@ -421,10 +421,13 @@ def test_budget_below_one_is_usage_error(capsys):
 
 
 def test_verify_empty_b_range_is_usage_error(capsys):
-    for rng in ("8..3", "5..4"):
+    # an open or malformed range is neither B nor LO..HI
+    for rng, msg in (("8..3", "empty --b range"), ("5..4", "empty --b range"),
+                     ("3..", "--b takes"), ("..5", "--b takes"), ("abc", "--b takes"),
+                     ("3..8..9", "--b takes"), ("", "--b takes")):
         code, out, err = run(capsys, "verify", "lemma-updown", "--b", rng,
                              "--format", "json")
-        assert code == EXIT_USAGE and out == "" and "empty --b range" in err
+        assert code == EXIT_USAGE and out == "" and msg in err
     for rng in ("1..3", "2..4"):
         code, out, err = run(capsys, "verify", "lemma-updown", "--b", rng,
                              "--format", "json")

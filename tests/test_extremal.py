@@ -350,6 +350,9 @@ def test_parse_constraint():
     for bad in ("star-minor-free", "kab-minor-free:5,2", "nope:1", "K:x"):
         with pytest.raises(ValueError):
             parse_constraint(bad)
+    for bad in ("star-minor-free:0", "star-minor-free:-2", "kab-minor-free:0,3"):
+        with pytest.raises(ValueError, match=bad):
+            parse_constraint(bad)
 
 
 def test_search_small_orders():

@@ -1,5 +1,7 @@
 """Minor containment, star fast path, (a,b)-property, apex reduction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -408,3 +410,26 @@ def test_twin_ordering_cuts_petersen_complement_expansions():
     h = complete_bipartite(2, 6)
     w = has_minor(g, h)
     assert w.verdict == VERDICT_CONTAINS and validate_witness(g, h, w)
+
+
+def test_search_tree_digest_matches_reference():
+    # every graph of order <= 7 against K_{1,4}, K_{2,3}, K_{2,4} and
+    # K_{3,3}, and the Petersen complement against five patterns: pins
+    # each verdict, expansion count and branch set, so a change that only
+    # speeds the search up must leave the digest as it is
+    cases = [(g, r, s) for n in range(1, 8) for g in enumerate_graphs(n)
+             for r, s in ((1, 4), (2, 3), (2, 4), (3, 3))]
+    cases += [(petersen_complement(), r, s) for r, s in ((1, 7), (2, 6), (4, 4), (2, 7), (3, 6))]
+    lines = []
+    for g, r, s in cases:
+        w = has_minor(g, complete_bipartite(r, s))
+        lines.append(f"{g.to_graph6()} K_{{{r},{s}}} {w.verdict} {w.expansions} {w.branch_sets}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "889dc61557ba065a69eb0e93808d20902473b4e919eb7875d4569e3ab3857b83"
+    # the budget fires on the expansion past the count, not before
+    g = petersen_complement()
+    for r, s in ((2, 6), (2, 7)):
+        h = complete_bipartite(r, s)
+        spent = has_minor(g, h).expansions
+        assert has_minor(g, h, budget=spent).expansions == spent
+        assert has_minor(g, h, budget=spent - 1).verdict == VERDICT_BUDGET
