@@ -410,8 +410,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _alpha(text: str) -> float:
+    # + 0.0 turns -0.0 into 0.0, so `--alpha -0.0` echoes as `--alpha 0` does
+    return float(text) + 0.0
+
+
 _OPTIONS = {
-    "alpha": {"type": float, "default": 0.0},
+    "alpha": {"type": _alpha, "default": 0.0},
     "jobs": {"type": _positive_int, "default": 1},
     "budget": {"type": _positive_int, "default": DEFAULT_BUDGET},
 }

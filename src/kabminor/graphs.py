@@ -119,20 +119,21 @@ class Graph:
 
     def component_masks(self) -> list[int]:
         """Vertex bitmasks of the connected components, by smallest vertex."""
-        seen = 0
+        rows = self.rows
+        rest = (1 << self.n) - 1
         out = []
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = self.rows[v] & ~comp
-            while frontier:
+        while rest:
+            comp = rest & -rest
+            frontier = rows[comp.bit_length() - 1] & ~comp
+            while frontier:  # one BFS level per round, its vertices by lowest bit
                 comp |= frontier
-                nxt = 0
-                for u in _bits(frontier):
-                    nxt |= self.rows[u]
-                frontier = nxt & ~comp
-            seen |= comp
+                reached = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reached |= rows[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reached & ~comp
+            rest &= ~comp
             out.append(comp)
         return out
 

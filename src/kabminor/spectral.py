@@ -10,10 +10,14 @@ There is one eigen path.  It splits a batch of graphs into connected
 components, stacks the alpha matrices of all components of one order into
 a (k, n, n) array, and makes one LAPACK eigh call per order, which runs
 the same routine on each matrix as a lone call would, so every result is
-bit-identical to a batch of one.  It checks every residual against
-RESIDUAL_TOL.  spectral_radii returns only the residual-checked radii of
-a batch; spectral_radius is the batch of one, and it alone builds the
-normalised (zero-padded, for a disconnected graph) Perron vector.
+bit-identical to a batch of one.  A one-vertex component beside a
+component with an edge is not solved: its radius is 0, and any component
+with an edge has radius at least 1, so it could never win.  An edgeless
+graph solves only its first vertex.  Every solved matrix has its residual
+checked against RESIDUAL_TOL.  spectral_radii returns only the
+residual-checked radii of a batch; spectral_radius is the batch of one,
+and it alone builds the normalised (zero-padded, for a disconnected graph)
+Perron vector.
 """
 
 from __future__ import annotations
@@ -79,8 +83,8 @@ def _top_eigenpairs(row_lists, n: int, alpha: float):
     w, v = np.linalg.eigh(m)
     lam = w[:, -1]
     x = np.abs(v[:, :, -1])
-    resid = np.max(np.abs(m @ x[:, :, None] - lam[:, None, None] * x[:, :, None]), axis=(1, 2))
-    worst = float(np.max(resid))
+    resid = np.abs((m @ x[:, :, None])[:, :, 0] - lam[:, None] * x).max(axis=1)
+    worst = resid.max()
     if worst > RESIDUAL_TOL:
         raise RuntimeError(f"eigen residual {worst:.3e} exceeds {RESIDUAL_TOL:g}")
     return lam.tolist(), x, resid.tolist()
@@ -94,15 +98,18 @@ def _solve(graphs, alpha: float):
     vertices) of its winning component; vertices is None for a connected
     graph.  Components are scanned by smallest vertex, and a later one
     wins only when its radius exceeds the current winner's by more than
-    LAMBDA_TIE_TOL."""
+    LAMBDA_TIE_TOL.  One-vertex components are dropped unless the graph
+    is edgeless, which keeps its first vertex: a component with an edge
+    has radius >= 1, above their 0, so the winner is the same."""
     alpha = check_alpha(alpha)
     stacks: dict[int, list] = {}  # component order -> rows of its components
     layout = []  # per graph: (order, slot in that stack, vertices or None) per component
     for g in graphs:
         if g.n == 0:
             raise ValueError("spectral radius of the empty graph is undefined")
-        comps = g.component_masks()
-        parts = [(g, None)] if len(comps) == 1 else [
+        masks = g.component_masks()
+        comps = [c for c in masks if c & (c - 1)] or masks[:1]  # those with an edge, else vertex 0
+        parts = [(g, None)] if len(masks) == 1 else [
             (g.induced(verts), verts) for verts in (list(_bits(c)) for c in comps)]
         entry = []
         for h, verts in parts:

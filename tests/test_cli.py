@@ -170,6 +170,35 @@ def test_lambda_perron_output_is_pinned(capsys):
         '0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}\n')
 
 
+@pytest.mark.parametrize("spec,vector", [
+    ("union(K:1,K:2)", "[0.0, 0.7071067811865476, 0.7071067811865476]"),
+    ("union(K:1*3)", "[1.0, 0.0, 0.0]"),
+])
+def test_lambda_isolated_vertices_output_is_pinned(capsys, spec, vector):
+    # an isolated vertex beside an edge is not solved, as it loses to any
+    # edge; an edgeless graph solves its first vertex alone, which wins
+    code, out, _ = run(capsys, "lambda", spec, "--perron", "--format", "json")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["residual"] == 0.0 and not data["is_perron"]
+    assert out.endswith('"residual": 0.0, "vector": ' + vector + "}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("lambda", "K:4", "--perron"),
+    ("search", "--n", "5", "--constraint", "star-minor-free:3"),
+    ("construct", "extremal", "--a", "1", "--b", "3", "--n", "6"),
+])
+def test_negative_zero_alpha_prints_as_zero(capsys, argv):
+    outs = []
+    for alpha in ("-0.0", "0"):
+        code, out, _ = run(capsys, *argv, "--alpha", alpha, "--format", "json")
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert '"alpha": 0.0' in outs[0] and "-0.0" not in outs[0]
+
+
 def test_minor_exit_codes(capsys):
     # free -> 0
     code, out, _ = run(capsys, "minor", "C:6", "K_{1,3}", "--format", "json")

@@ -123,6 +123,38 @@ def test_star_forest_structure():
         assert all(bin(m).count("1") >= a + 1 for m in comps)
 
 
+def _bfs_components(g):
+    """Vertex bitmasks of the components by a plain breadth-first search
+    over neighbour lists, by smallest vertex."""
+    seen, out = set(), []
+    for v in range(g.n):
+        if v in seen:
+            continue
+        seen.add(v)
+        queue, mask = [v], 0
+        for u in queue:
+            mask |= 1 << u
+            for w in g.neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        out.append(mask)
+    return out
+
+
+def test_component_masks_match_bfs():
+    from kabminor.extremal import enumerate_graphs
+
+    # above 64 vertices, components interleaved by a random relabelling
+    big = disjoint_union([path_graph(40), complete(1), cycle(30), complete(5), empty_graph(3)])
+    rng = random.Random(3)
+    big = big.relabel(rng.sample(range(big.n), big.n))
+    graphs = [empty_graph(0), big] + [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    for g in graphs:
+        assert g.component_masks() == _bfs_components(g), g.to_graph6()
+    assert len(big.component_masks()) == 7
+
+
 def test_star_forest_complement_edge_count():
     a, b = 2, 5
     tau = (b + 1) // (a + 1)

@@ -17,6 +17,7 @@ from kabminor.graphs import (
     complete,
     cycle,
     disjoint_union,
+    empty_graph,
     from_edges,
     join,
     path_graph,
@@ -205,15 +206,42 @@ def _bits_of(res):
 
 
 def test_batched_radii_match_per_graph_path_bit_for_bit():
+    # _reference_radius solves every component, one-vertex ones included,
+    # so this also checks that skipping them changes no bit
     graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
-    assert any(not g.is_connected() for g in graphs)
+    disconnected_8 = [g for g in enumerate_graphs(8) if not g.is_connected()]
+    assert len(disconnected_8) == 1229
+    graphs += disconnected_8
+    edgeless = [empty_graph(n) for n in (1, 2, 5, 8)]
+    isolated_first = [disjoint_union([complete(1), g])
+                      for n in range(1, 7) for g in enumerate_graphs(n)]
+    k1_k2 = disjoint_union([complete(1), complete(2)])
+    batches = [graphs, edgeless, [k1_k2] + edgeless, isolated_first + edgeless + [k1_k2]]
     for a in (0.0, 0.5, 0.9):
-        got = spectral_radii(graphs, a)
-        assert len(got) == len(graphs)
-        for g, lam in zip(graphs, got):
-            ref = _reference_radius(g, a)
-            assert lam.hex() == ref.lam.hex(), (g.to_graph6(), a)
-            assert _bits_of(spectral_radius(g, a)) == _bits_of(ref), (g.to_graph6(), a)
+        for batch in batches:
+            got = spectral_radii(batch, a)
+            assert len(got) == len(batch)
+            for g, lam in zip(batch, got):
+                ref = _reference_radius(g, a)
+                assert lam.hex() == ref.lam.hex(), (g.to_graph6(), a)
+                assert _bits_of(spectral_radius(g, a)) == _bits_of(ref), (g.to_graph6(), a)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+def test_alpha_matrices_match_entrywise_assembly_across_byte_boundaries(n):
+    rng = random.Random(n)
+    graphs = [from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < p]) for p in (0.05, 0.5, 0.95)]
+    for a in (0.0, 0.5, 0.9):
+        stack = spectral._alpha_matrices([g.rows for g in graphs], n, a)
+        assert stack.shape == (len(graphs), n, n)
+        for g, m in zip(graphs, stack):
+            ref = np.zeros((n, n))
+            for u in range(n):
+                ref[u, list(g.neighbors(u))] = 1.0 - a
+                ref[u, u] = a * g.degrees()[u]
+            assert np.array_equal(m, ref)
+            assert np.array_equal(alpha_matrix(g, a), ref)
 
 
 def test_batched_radii_do_not_depend_on_the_batch():
