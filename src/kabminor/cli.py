@@ -385,6 +385,7 @@ def cmd_verify(args) -> int:
             raise SpecError(f"empty --b range {args.b!r}")
         if bs[0] < 3:
             raise SpecError(f"--b range {args.b!r} starts below 3")
+        _capped(bs[-1] + max(vf.UPDOWN_OFFSETS))
         outcomes = [vf.check_lemma_updown(bs)]
     else:
         outcomes = vf.run_suites(names)

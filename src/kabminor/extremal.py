@@ -13,22 +13,11 @@ That first cell is an isomorphism-invariant set of minimum-degree
 vertices, so deleting any of its vertices gives a parent that reaches
 the class (see _extend).
 
-Every search constraint (star-minor-free, kab-minor-free, ab-property)
-is minor-closed, hence closed under vertex deletion: a graph fails it
-whenever one of its vertex-deleted subgraphs does.  survivors()
-therefore filters the internal corpus (InternalCorpus) while generating
-it, McKay's hereditary pruning: it walks the orders 1..n and extends
-only the graphs that passed or were undecided at the order below.  When
-only connected graphs are wanted, the last order skips every
-augmentation whose new vertex misses a component of its parent, before
-any refinement, since that child is disconnected.  When the constraint
-forbids a K_{1,s} minor (star-minor-free:s, kab-minor-free:1,s, and the
-r = 1 pair of ab-property:a,s), every order also skips, before any
-refinement, each child with an O(n + e) certificate of that minor
-(minors.star_certificate): a vertex of degree >= s, or an edge whose ends
-have >= s other neighbours together.  Such a child fails the constraint;
-every kept child still gets the full budgeted check.  A graph left
-undecided at the last order makes survivors() raise BudgetExhausted.
+survivors() filters the internal corpus (InternalCorpus) while
+generating it, McKay's hereditary pruning: _walk extends only the graphs
+that passed or were undecided at the order below, and enumerate_graphs is
+the same walk with no constraint.  A graph left undecided at the last
+order makes survivors() raise BudgetExhausted.
 """
 
 from __future__ import annotations
@@ -203,16 +192,12 @@ def canonical_form(g: Graph) -> bytes:
     exact for n <= 10."""
     if g.n > CANONICAL_MAX_N:
         raise ValueError(f"canonical form supported only up to n = {CANONICAL_MAX_N}")
-    if g.n == 0:
-        return b"\x00"
     code, _ = _canonical_search(g.rows, _stable_partition(g.rows))
     return code
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labelled copy of g."""
-    if g.n == 0:
-        return g
     if g.n > CANONICAL_MAX_N:
         raise ValueError(f"canonical form supported only up to n = {CANONICAL_MAX_N}")
     _, lab = _canonical_search(g.rows, _stable_partition(g.rows))
@@ -222,9 +207,6 @@ def canonical_graph(g: Graph) -> Graph:
 # ---------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------
-
-_ENUM_CACHE: dict[int, list[Graph]] = {}
-
 
 def _augmentation_masks(g: Graph):
     """Neighbourhood masks for a vertex added to g that has minimum degree
@@ -304,25 +286,60 @@ def _extend(parents, n: int, connected_only: bool = False, star: int | None = No
     return [seen[c] for c in sorted(seen)]
 
 
+def _walk(n: int, pairs, budget: int, pmap, connected_only: bool):
+    """The internal corpus of order n filtered while it is generated: for
+    each order m = 1..n, (level, verdicts), the graphs of order m reached
+    and their _verdicts against the forbidden pairs, run through pmap.
+
+    Only the graphs of order m - 1 that passed or were undecided are
+    extended to order m (_extend).  Every search constraint is minor-closed,
+    hence closed under vertex deletion: every vertex-deleted subgraph of a
+    passing graph passes or is undecided, so the walk reaches every passing
+    graph, and the passing graphs of the last level are those of the
+    enumerated list (McKay's hereditary pruning).  connected_only applies
+    at order n alone, where _extend skips the augmentations that give a
+    disconnected child.  When a (1, s) pair forbids a K_{1,s} minor
+    (star-minor-free:s, kab-minor-free:1,s, and the r = 1 pair of
+    ab-property:a,s), _extend also drops, at every order and before any
+    refinement, each child with an O(n + e) certificate of that minor
+    (minors.star_certificate), which fails the constraint.  The undecided
+    graphs of the last level are thus an ordered subset of the list's: a
+    graph whose own check would run out of budget is not reached when a
+    parent failed or it has a certificate.  With no pair every graph
+    passes, and the last level is the enumeration."""
+    star = next((s for r, s in pairs if r == 1), None)
+    check = functools.partial(_verdicts, pairs=pairs, budget=budget)
+    kept = None
+    for m in range(1, n + 1):
+        level = [Graph(1, (0,))] if m == 1 else _extend(
+            kept, m, connected_only=connected_only and m == n, star=star)
+        verdicts = pmap(check, level)
+        yield level, verdicts
+        kept = [g for g, v in zip(level, verdicts) if v is not False]
+
+
+@functools.cache
+def _enumeration(n: int) -> list[Graph]:
+    *_, (level, _) = _walk(n, (), 0, _serial_map, False)
+    return level
+
+
 def enumerate_graphs(n: int, connected_only: bool = False):
     """All graphs of order n up to isomorphism (internal enumerator,
-    n <= 8), in canonical-form order: _extend over every graph of order
-    n - 1, cached per order."""
+    n <= 8), in canonical-form order: the last level of _walk with no
+    forbidden pair, cached per order; only its connected graphs when
+    connected_only."""
     _check_order(n)
-    if n not in _ENUM_CACHE:
-        _ENUM_CACHE[n] = [Graph(1, (0,))] if n == 1 else _extend(enumerate_graphs(n - 1), n)
-    out = _ENUM_CACHE[n]
-    if connected_only:
-        out = [g for g in out if g.is_connected()]
-    return list(out)
+    out = _enumeration(n)
+    return [g for g in out if g.is_connected()] if connected_only else list(out)
 
 
 @dataclass(frozen=True)
 class InternalCorpus:
     """The internal corpus of order n (connected graphs only when
     connected_only) as a value: survivors() filters it while generating
-    it.  Its len is the pinned count and iterating it gives
-    enumerate_graphs(n, connected_only)."""
+    it (_walk).  Its len is the pinned count of enumerate_graphs(n,
+    connected_only)."""
 
     n: int
     connected_only: bool = False
@@ -333,9 +350,6 @@ class InternalCorpus:
     def __len__(self) -> int:
         counts = CONNECTED_GRAPH_COUNTS if self.connected_only else GRAPH_COUNTS
         return counts[self.n - 1]
-
-    def __iter__(self):
-        return iter(enumerate_graphs(self.n, self.connected_only))
 
 
 def ingest_graph6(path: str, decode=from_graph6):
@@ -486,6 +500,10 @@ class SearchReport:
         )
 
 
+def _serial_map(fn, items):
+    return fn(items)
+
+
 @contextmanager
 def _mapper(jobs: int, count: int):
     """A map(fn, items) -> list for a list-in, list-out fn: fn runs on
@@ -496,7 +514,7 @@ def _mapper(jobs: int, count: int):
     four slices per worker."""
     workers = min(jobs, count, os.cpu_count() or 1) if jobs > 1 else 1
     if workers == 1:
-        yield lambda fn, items: fn(items)
+        yield _serial_map
         return
     import multiprocessing  # here, so that serial runs never load it
 
@@ -547,38 +565,21 @@ def _filter(corpus, constraint: str, budget: int, jobs: int = 1):
     was found and some check ran out of budget.
 
     A list or other iterable corpus is checked graph by graph.  An
-    InternalCorpus is filtered while it is generated: at each order
-    m = 1..n the graphs are checked, and only those that passed or were
-    undecided are extended to order m + 1 (_extend).  connected_only
-    applies at order n alone, where _extend skips the augmentations that
-    give a disconnected child.  When the constraint forbids a K_{1,s}
-    minor, a (1, s) pair, _extend also drops every child with a
-    certificate of one (minors.star_certificate), which fails the
-    constraint.  The constraint is closed under vertex deletion, so every
-    vertex-deleted subgraph of a passing graph passes or is undecided, and
-    _extend reaches the graph: passing equals the enumerated list's.
-    undecided holds only graphs reached that way and without a
-    certificate, an ordered subset of the list's: a graph whose own check
-    would run out of budget is dropped when a parent failed or it has a
-    certificate.
+    InternalCorpus is the last level of _walk, which filters it while it
+    is generated: passing equals the enumerated list's, and undecided is
+    an ordered subset of the list's.
 
     The checks run through one _mapper for the whole call, which joins
     the verdicts of its slices in order, so results are independent of
     jobs."""
     pairs = _forbidden_pairs(constraint)
-    star = next((s for r, s in pairs if r == 1), None)
-    check = functools.partial(_verdicts, pairs=pairs, budget=budget)
     if isinstance(corpus, InternalCorpus):
-        level, orders, count = enumerate_graphs(1), range(2, corpus.n + 1), len(corpus)
+        with _mapper(jobs, len(corpus)) as pmap:
+            *_, (level, verdicts) = _walk(corpus.n, pairs, budget, pmap, corpus.connected_only)
     else:
         level = list(corpus)
-        orders, count = (), len(level)
-    with _mapper(jobs, count) as pmap:
-        verdicts = pmap(check, level)
-        for m in orders:
-            level = _extend([g for g, v in zip(level, verdicts) if v is not False], m,
-                            connected_only=corpus.connected_only and m == corpus.n, star=star)
-            verdicts = pmap(check, level)
+        with _mapper(jobs, len(level)) as pmap:
+            verdicts = pmap(functools.partial(_verdicts, pairs=pairs, budget=budget), level)
     return ([g for g, v in zip(level, verdicts) if v],
             [g for g, v in zip(level, verdicts) if v is None])
 
@@ -655,13 +656,12 @@ def rank_survivors(passing, constraint: str, alpha: float, corpus_source: str,
 # candidate comparison
 # ---------------------------------------------------------------------
 
-def compare_candidates(candidates, alpha: float, jobs: int = 1):
-    """Spectral radii of same-order candidate graphs, sorted descending,
-    with strict-order flags at the tie tolerance.
+def compare_candidates(candidates, alpha: float):
+    """Spectral radii of same-order candidate graphs, from one
+    spectral_radii batch, sorted descending, with strict-order flags at
+    the tie tolerance.
 
-    candidates: list of (id, Graph).  Returns a list of dict rows;
-    independent of jobs: spectral_radii runs over contiguous slices of the
-    candidates (_mapper), one batch when jobs is 1."""
+    candidates: list of (id, Graph).  Returns a list of dict rows."""
     check_alpha(alpha)
     items = list(candidates)
     if not items:
@@ -669,8 +669,7 @@ def compare_candidates(candidates, alpha: float, jobs: int = 1):
     n0 = items[0][1].n
     if any(g.n != n0 for _, g in items):
         raise ValueError("candidates must share one order")
-    with _mapper(jobs, len(items)) as pmap:
-        lams = pmap(functools.partial(spectral_radii, alpha=alpha), [g for _, g in items])
+    lams = spectral_radii([g for _, g in items], alpha)
     rows = [{"id": cid, "lambda": lam} for (cid, _), lam in zip(items, lams)]
     rows.sort(key=lambda r: (-r["lambda"], r["id"]))
     for i, r in enumerate(rows):

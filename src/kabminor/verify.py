@@ -125,21 +125,26 @@ def _rel(value, ref):
 # spectral lower bound for subdivided cliques
 # ---------------------------------------------------------------------
 
+#: orders, less b, of the subdivided cliques check_lemma_updown builds
+UPDOWN_OFFSETS = (1, 2, 5)
+
+
 def check_lemma_updown(b_range=range(3, 9), alphas=None) -> CheckOutcome:
-    """lambda_alpha(subdivided clique on n vertices) exceeds
-    b-1-2(1-alpha)/(b-1), and that point is itself >= b-2+alpha."""
+    """lambda_alpha(subdivided clique on b + k vertices), for each k of
+    UPDOWN_OFFSETS, exceeds b-1-2(1-alpha)/(b-1), and that point is itself
+    >= b-2+alpha."""
     def cases():
         for b in b_range:
             for alpha in alphas if alphas is not None else alpha_grid(b):
                 thr = threshold(b, alpha)
                 chain = thr - (b - 2 + alpha)
                 yield f"chain:b={b},alpha={alpha}", chain, chain >= -1e-12
-                for n in (b + 1, b + 2, b + 5):
-                    g = subdivided_clique(b, n - b)
+                for k in UPDOWN_OFFSETS:
+                    g = subdivided_clique(b, k)
                     margin = spectral_radius(g, alpha).lam - thr
                     yield g.to_graph6(), margin, margin > 0
 
-    scope = {"b": list(b_range), "n_offsets": [1, 2, 5]}
+    scope = {"b": list(b_range), "n_offsets": list(UPDOWN_OFFSETS)}
     return _fold("spectral-lower-bound-subdivided-clique", scope, cases())
 
 
@@ -441,38 +446,14 @@ def check_theorem_small_n(a: int, b: int, n_range, alphas=None) -> CheckOutcome:
 # suite registry
 # ---------------------------------------------------------------------
 
-def _suite_lemma_updown():
-    return [check_lemma_updown()]
-
-
-def _suite_mm_bounds():
-    return [check_mm_bounds()]
-
-
-def _suite_degree_ordering():
-    return [check_degree_ordering_claim()]
-
-
-def _suite_edge_lemmas():
-    return check_edge_lemmas()
-
-
-def _suite_polynomial_identities():
-    return check_polynomial_identities()
-
-
-def _suite_theorem_small_n():
-    return [check_theorem_small_n(1, 3, range(4, 8)),
-            check_theorem_small_n(1, 4, [5])]
-
-
 SUITES = {
-    "lemma-updown": _suite_lemma_updown,
-    "mm-bounds": _suite_mm_bounds,
-    "degree-ordering": _suite_degree_ordering,
-    "edge-lemmas": _suite_edge_lemmas,
-    "polynomial-identities": _suite_polynomial_identities,
-    "theorem-small-n": _suite_theorem_small_n,
+    "lemma-updown": lambda: [check_lemma_updown()],
+    "mm-bounds": lambda: [check_mm_bounds()],
+    "degree-ordering": lambda: [check_degree_ordering_claim()],
+    "edge-lemmas": check_edge_lemmas,
+    "polynomial-identities": check_polynomial_identities,
+    "theorem-small-n": lambda: [check_theorem_small_n(1, 3, range(4, 8)),
+                                check_theorem_small_n(1, 4, [5])],
 }
 
 

@@ -262,8 +262,9 @@ def test_acceptance_7_property_suites():
             f"{len(results)} spectral results")
 
 
-def _criterion8(jobs):
-    payloads = []
+def test_acceptance_8_moderate_n_comparison_report():
+    t0 = time.perf_counter()
+    comparisons = 0
     notes = []
     consistent = True
     for n in range(8, 13):
@@ -277,9 +278,8 @@ def _criterion8(jobs):
         iso = nx.is_isomorphic(to_nx(a_graph), to_nx(b_graph))
         for alpha in (0.0, 0.3, 0.5, 0.8):
             rows = compare_candidates(
-                [("apex-cliques", a_graph), ("split-variant", b_graph)],
-                alpha, jobs=jobs)
-            payloads.append(json.dumps(rows, sort_keys=True))
+                [("apex-cliques", a_graph), ("split-variant", b_graph)], alpha)
+            comparisons += 1
             top = rows[0]
             if iso:
                 this_ok = not top["strictly_above_next"]
@@ -294,25 +294,17 @@ def _criterion8(jobs):
                 notes.append(f"n={n},alpha={alpha}: tie (isomorphic candidates)")
             else:
                 notes.append(f"n={n},alpha={alpha}: gap={top['gap_to_next']:.3e}")
-    return payloads, consistent, notes
-
-
-def test_acceptance_8_moderate_n_comparison_report():
-    t0 = time.perf_counter()
-    payloads, consistent, notes = _criterion8(jobs=1)
-    _STASH["c8"] = payloads
     for n in notes:
         print("  " + n)
     # report-only: inversions are logged above, never a failure
     _report(8, True, t0, 60,
-            f"{len(payloads)} comparisons, theorem-consistent={consistent}")
+            f"{comparisons} comparisons, theorem-consistent={consistent}")
 
 
 def test_acceptance_9_determinism_across_jobs():
     t0 = time.perf_counter()
     r3, _, _ = _criterion3(jobs=8)
-    r8, _, _ = _criterion8(jobs=8)
-    ok = r3 == _STASH["c3"] and r8 == _STASH["c8"]
+    ok = r3 == _STASH["c3"]
 
     # same at the CLI, with the honest config.jobs field set aside
     from kabminor.cli import main

@@ -463,6 +463,16 @@ def test_verify_empty_b_range_is_usage_error(capsys):
         assert code == EXIT_USAGE and out == "" and "below 3" in err
 
 
+def test_verify_b_over_the_cap_is_usage_error(capsys, built_orders):
+    # lemma-updown builds subdivided cliques of order up to b + 5: the
+    # largest is capped before any check runs
+    for rng, order in (("496", 501), ("3..100000", 100005)):
+        code, out, err = run(capsys, "verify", "lemma-updown", "--b", rng, "--format", "json")
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: order {order} exceeds the cap of {MAX_ORDER} vertices\n"
+    assert built_orders == []
+
+
 def test_jobs_below_one_is_usage_error(capsys):
     for jobs in ("0", "-3"):
         code, out, err = run(capsys, "search", "--n", "5", "--constraint",
@@ -561,6 +571,18 @@ def test_search_n8_reports_are_pinned(capsys, b):
                        "--a", "1", "--b", str(b), "--alpha", "0.5", "--format", "json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_N8_DIGESTS[b]
+
+
+# sha256 of the stdout of `verify theorem-small-n edge-lemmas --format
+# json`: exhaustive outcomes over the enumeration and the filtered walk,
+# whose margins are integers or null, so no eigensolver float shows
+VERIFY_EXHAUSTIVE_DIGEST = "e8d547f62fcd20378edd3f16cac0cf3a824d75cfc403dfd78f412721e5db7696"
+
+
+def test_verify_exhaustive_report_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "theorem-small-n", "edge-lemmas", "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_EXHAUSTIVE_DIGEST
 
 
 @pytest.fixture
