@@ -10,12 +10,12 @@ search, --budget on minor and search, --jobs on search alone.
 Exit codes: 0 success/pass, 1 check failure (or minor found, for the
 minor command), 2 usage error, 3 budget-inconclusive (verify too).
 
-No graph the grammar or `construct extremal --n` builds, and no graph6
-input (a --corpus record included), has more than MAX_ORDER vertices; a
-larger order is a usage error, raised before the graph is built or any
-graph6 row decoded.  A --corpus record is also a usage error above
-extremal.CANONICAL_MAX_N vertices, the largest order the ranking can put
-in canonical form.
+No graph the grammar, the minor command's K_{r,s} pattern shorthand or
+`construct extremal --n` builds, and no graph6 input (a --corpus record
+included), has more than MAX_ORDER vertices; a larger order is a usage
+error, raised before the graph is built or any graph6 row decoded.  A
+--corpus record is also a usage error above extremal.CANONICAL_MAX_N
+vertices, the largest order the ranking can put in canonical form.
 
 Only the commands that solve spectra load numpy: the solver modules
 (extremal, spectral, verify) are imported inside lambda, search, verify
@@ -307,12 +307,17 @@ def cmd_lambda(args) -> int:
 
 
 def _parse_pattern(text: str) -> Graph:
-    """K_{r,s} shorthand (with or without braces) or any graph input."""
+    """K_{r,s} shorthand (with or without braces) or any graph input; an
+    order r + s over MAX_ORDER is refused before K_{r,s} is built."""
     t = text.replace("{", "").replace("}", "").replace("_", "")
     if t.startswith("K") and "," in t:
         try:
             r, s = (int(x) for x in t[1:].split(","))
+            if min(r, s) >= 0:
+                _capped(r + s)
             return complete_bipartite(r, s)
+        except OrderError:
+            raise
         except ValueError:
             pass
     return _load_graph(text)

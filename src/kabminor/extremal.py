@@ -46,9 +46,7 @@ from .graphs import (
     from_graph6,
 )
 from .minors import (
-    VERDICT_BUDGET,
     VERDICT_CONTAINS,
-    VERDICT_FREE,
     BudgetExhausted,
     ab_pairs,
     find_clique_dominating_set,
@@ -56,10 +54,11 @@ from .minors import (
     has_minor,
     minor_free_given_apex,
     star_certificate,
-    star_minor_free,
 )
 from .spectral import LAMBDA_TIE_TOL, check_alpha, spectral_radii
-# benchmark/trace_run looks spectral_radius up here to wrap it
+# benchmark/trace_run looks star_minor_free and spectral_radius up here
+# to wrap them
+from .minors import star_minor_free  # noqa: F401
 from .spectral import spectral_radius  # noqa: F401
 
 CANONICAL_MAX_N = 10
@@ -511,9 +510,10 @@ def _mapper(jobs: int, count: int):
     The map runs fn on the whole list, one slice, in this process unless
     more than one worker is useful for count items: jobs, capped by count
     and the CPU count.  Then one fork pool, for the whole block, maps about
-    four slices per worker."""
-    workers = min(jobs, count, os.cpu_count() or 1) if jobs > 1 else 1
-    if workers == 1:
+    four slices per worker.  With no item (count 0) it runs serially too,
+    so an empty corpus fails the same way for every jobs."""
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers <= 1:
         yield _serial_map
         return
     import multiprocessing  # here, so that serial runs never load it
@@ -527,27 +527,19 @@ def _mapper(jobs: int, count: int):
         yield pmap
 
 
-def _pair_verdict(g: Graph, r: int, s: int, budget: int) -> str:
-    """g's verdict on a K_{r,s} minor: by star_minor_free when r = 1, by
-    has_minor otherwise."""
-    if r > 1:
-        return has_minor(g, complete_bipartite(r, s), budget).verdict
-    try:
-        return VERDICT_FREE if star_minor_free(g, s, budget) else VERDICT_CONTAINS
-    except BudgetExhausted:
-        return VERDICT_BUDGET
-
-
 def _verdicts(graphs, pairs, budget: int):
-    """Per graph, fold_verdicts of its checks against the forbidden pairs:
-    True when it has none of their K_{r,s} minors, False when it has one,
-    None when none was found but a check ran out of budget.  The pairs are
-    tried in order, and the first minor found ends a graph's checks."""
+    """Per graph, fold_verdicts of its has_minor checks against the
+    forbidden pairs, star or not: True when it has none of their K_{r,s}
+    minors, False when it has one, None when none was found but a check
+    ran out of budget.  Each K_{r,s} is built once per call.  The pairs
+    are tried in order, and the first minor found ends a graph's checks;
+    has_minor has revalidated the witness of every minor found."""
+    patterns = [complete_bipartite(r, s) for r, s in pairs]
     out = []
     for g in graphs:
         verdicts = []
-        for r, s in pairs:
-            verdicts.append(_pair_verdict(g, r, s, budget))
+        for h in patterns:
+            verdicts.append(has_minor(g, h, budget).verdict)
             if verdicts[-1] == VERDICT_CONTAINS:
                 break
         out.append(fold_verdicts(verdicts))

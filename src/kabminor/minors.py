@@ -3,9 +3,13 @@ fast path, the (a,b)-property, and dominating-clique reductions.
 
 A branch-set model of H inside G assigns each H-vertex a nonempty
 connected vertex subset of G, all pairwise disjoint, with a cross edge in
-G for every edge of H.  Searches are exact within an expansion budget;
-budget exhaustion is a first-class third verdict, never coerced to
-"free" or "contains".  A check against several patterns (the pairs of
+G for every edge of H.  has_minor is the one engine: a star pattern
+K_{1,b} takes its boundary-criterion route (_star_search), any other
+pattern the branch-set search, and every "contains" it returns carries a
+witness that validate_witness has rechecked.  star_minor_free is its
+boolean view.  Searches are exact within an expansion budget; budget
+exhaustion is a first-class third verdict, never coerced to "free" or
+"contains".  A check against several patterns (the pairs of
 the (a,b)-property from ab_pairs, or a corpus filter's constraint) folds
 its verdicts with fold_verdicts: a found minor decides "not free" even
 when another pattern ran out of budget, and the budget verdict applies
@@ -76,7 +80,7 @@ def validate_witness(g: Graph, h: Graph, witness: MinorWitness) -> bool:
                 return False
             mask |= 1 << v
             used |= 1 << v
-        if len(g.induced_mask(mask).component_masks()) != 1:
+        if mask & (mask - 1) and len(g.induced_mask(mask).component_masks()) != 1:
             return False
         masks.append(mask)
     for u, v in h.edges():
@@ -273,20 +277,16 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
 
 
 def star_minor_free(g: Graph, b: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """K_{1,b}-minor freeness via the boundary criterion (_star_boundary)
-    in each component of more than b vertices, as has_minor's star route:
-    the same verdict for the same expansions, without the witness.  Raises
+    """K_{1,b}-minor freeness: the boolean view of has_minor(g, K_{1,b},
+    budget), whose star route decides it by the boundary criterion
+    (_star_boundary) and revalidates the witness of a star found.  Raises
     BudgetExhausted when the expansion budget runs out first."""
     if b < 1:
         raise ValueError("need b >= 1")
-    spent = 0
-    for mask in g.component_masks():
-        if mask.bit_count() > b:
-            s, _, used = _star_boundary(g, b, budget - spent, mask)
-            if s:
-                return False
-            spent += used
-    return True
+    verdict = has_minor(g, complete_bipartite(1, b), budget).verdict
+    if verdict == VERDICT_BUDGET:
+        raise BudgetExhausted(f"expansion budget {budget} exhausted")
+    return verdict == VERDICT_FREE
 
 
 def fold_verdicts(verdicts) -> bool | None:

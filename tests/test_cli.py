@@ -275,6 +275,16 @@ def test_search_without_survivors_is_usage_error(capsys, tmp_path):
         assert err == "error: no corpus graph satisfies the constraint\n"
 
 
+def test_empty_corpus_fails_alike_for_every_jobs(capsys, tmp_path):
+    # no item asks for no worker: every --jobs runs the empty filter serially
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "search", "--constraint", "star-minor-free:3",
+                             "--corpus", str(empty), "--jobs", jobs)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: no corpus graph satisfies the constraint\n")
+
+
 def test_search_budget_abort(capsys, tmp_path):
     from kabminor.graphs import join, complete as K, petersen_complement
 
@@ -620,6 +630,21 @@ def test_orders_above_the_cap_are_usage_errors(capsys, built_orders, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == "" and "exceeds the cap" in err
     assert max(built_orders, default=0) <= MAX_ORDER
+
+
+def test_bipartite_pattern_over_the_cap_is_usage_error(capsys, built_orders):
+    # the minor command's K_{r,s} shorthand is capped as the grammar's
+    # Kst:r,s is, before the pattern is built
+    r, s = MAX_ORDER // 2, MAX_ORDER // 2 + 1
+    for pattern in (f"K_{{{r},{s}}}", f"K{r},{s}"):
+        code, out, err = run(capsys, "minor", "K:3", pattern)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: order {MAX_ORDER + 1} exceeds the cap of {MAX_ORDER} vertices\n"
+    assert max(built_orders, default=0) <= MAX_ORDER
+    # a negative side is no order to cap: the text is not a pattern
+    code, out, err = run(capsys, "minor", "K:3", f"K_{{-5,{MAX_ORDER + 100}}}")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: cannot parse 'K_{{-5,{MAX_ORDER + 100}}}' as family spec or graph6\n"
 
 
 def _edgeless_graph6(n):

@@ -559,6 +559,14 @@ def test_star_constraints_are_budgeted():
         assert search_max([complete(3), g], constraint, 0.5).survivors == 2
 
 
+def test_star_contains_verdicts_are_revalidated(monkeypatch):
+    # the filter decides a star through has_minor, which rechecks the
+    # witness of every star it finds: a witness refused stops the filter
+    monkeypatch.setattr(minors, "validate_witness", lambda g, h, w: False)
+    with pytest.raises(AssertionError, match="invalid witness"):
+        survivors([complete(5)], "star-minor-free:3")
+
+
 def test_predict_star_budget_raises(monkeypatch):
     monkeypatch.setattr(extremal, "minor_free_given_apex",
                         functools.partial(minors.minor_free_given_apex, budget=5))
@@ -634,13 +642,13 @@ def test_pmap_pool_is_capped_by_items_and_cpus(monkeypatch):
 
 
 def test_layer_hooks_called_once_per_graph(monkeypatch):
-    # search_max and compare_candidates reach the spectral and star-minor
+    # search_max and compare_candidates reach the spectral and minor
     # layers through these module attributes, so a wrapper patched onto
-    # them sees every graph: the star test per graph, the spectral solve
+    # them sees every graph: the minor test per graph, the spectral solve
     # per batch, which must hold each survivor or candidate exactly once
     import kabminor.extremal as ex
 
-    calls = {"star": 0}
+    calls = {"minor": 0}
     solved = []
 
     def counting(key, fn):
@@ -657,15 +665,15 @@ def test_layer_hooks_called_once_per_graph(monkeypatch):
     corpus = enumerate_graphs(6, True)
     passing = survivors(corpus, "star-minor-free:3")
     monkeypatch.setattr(ex, "spectral_radii", recording)
-    monkeypatch.setattr(ex, "star_minor_free", counting("star", ex.star_minor_free))
+    monkeypatch.setattr(ex, "has_minor", counting("minor", ex.has_minor))
     rep = search_max(corpus, "star-minor-free:3", 0.5, jobs=1)
     assert 0 < rep.survivors < len(corpus)
-    assert calls == {"star": len(corpus)}
+    assert calls == {"minor": len(corpus)}
     assert sorted(map(id, solved)) == sorted(map(id, passing))
-    calls.update(star=0)
+    calls.update(minor=0)
     solved.clear()
     compare_candidates([(i, g) for i, g in enumerate(corpus)], 0.5)
-    assert calls == {"star": 0}
+    assert calls == {"minor": 0}
     assert sorted(map(id, solved)) == sorted(map(id, corpus))
 
 

@@ -93,10 +93,10 @@ def test_edge_lemmas_pass():
 
 @pytest.mark.parametrize("suite", ["theorem-small-n", "edge-lemmas"])
 def test_starved_verify_exits_budget(capsys, monkeypatch, suite):
-    # a budget of one expansion leaves star checks undecided: the filter
+    # a budget of one expansion leaves minor checks undecided: the filter
     # raises, and verify reports budget exhaustion, never a status
-    monkeypatch.setattr(extremal, "star_minor_free",
-                        lambda g, b, budget=None: minors.star_minor_free(g, b, 1))
+    monkeypatch.setattr(extremal, "has_minor",
+                        lambda g, h, budget=None: minors.has_minor(g, h, 1))
     assert cli.main(["verify", suite]) == cli.EXIT_BUDGET
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: minor-search budget exhausted on candidate ")
