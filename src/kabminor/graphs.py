@@ -267,15 +267,15 @@ def graph6_order(s: str) -> int:
     s = s.strip()
     if not s:
         raise ValueError("empty graph6 record")
-    for ch in s[:4] if s[0] == "~" else s[0]:
+    # the order digits: 1 byte, '~' and 3 (orders 63..258047), or '~~' and 6
+    start, end = (0, 1) if s[0] != "~" else (2, 8) if s[1:2] == "~" else (1, 4)
+    for ch in s[:end]:
         if not 63 <= ord(ch) <= 126:
             raise ValueError(f"character {ch!r} out of graph6 range")
-    if s[0] != "~":
-        return ord(s[0]) - 63
-    if len(s) < 4:
+    if len(s) < end:
         raise ValueError("truncated graph6 order field")
     n = 0
-    for ch in s[1:4]:
+    for ch in s[start:end]:
         n = n << 6 | (ord(ch) - 63)
     return n
 
@@ -283,7 +283,7 @@ def graph6_order(s: str) -> int:
 def from_graph6(s: str) -> Graph:
     n = graph6_order(s)
     s = s.strip()
-    body = s[4:] if s[0] == "~" else s[1:]
+    body = s[8 if s[:2] == "~~" else 4 if s[0] == "~" else 1:]
     for ch in body:
         if not 63 <= ord(ch) <= 126:
             raise ValueError(f"character {ch!r} out of graph6 range")

@@ -283,6 +283,8 @@ def star_minor_free(g: Graph, b: int, budget: int = DEFAULT_BUDGET) -> bool:
     BudgetExhausted when the expansion budget runs out first."""
     if b < 1:
         raise ValueError("need b >= 1")
+    if b + 1 > g.n:  # too few vertices: free, with no K_{1,b} built
+        return True
     verdict = has_minor(g, complete_bipartite(1, b), budget).verdict
     if verdict == VERDICT_BUDGET:
         raise BudgetExhausted(f"expansion budget {budget} exhausted")

@@ -17,7 +17,9 @@ graph solves only its first vertex.  Every solved matrix has its residual
 checked against RESIDUAL_TOL.  spectral_radii returns only the
 residual-checked radii of a batch; spectral_radius is the batch of one,
 and it alone builds the normalised (zero-padded, for a disconnected graph)
-Perron vector.
+Perron vector.  Equitable-partition quotients take their alpha matrix
+from the same assembly and their eigenvalues from the symmetric solver;
+QuotientMatrix.rho refuses a partition that is not equitable.
 """
 
 from __future__ import annotations
@@ -165,49 +167,45 @@ def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
 class QuotientMatrix:
     entries: tuple[tuple[float, ...], ...]  # class-by-class average row sums
     equitable: bool
+    sizes: tuple[int, ...]
 
     def as_array(self) -> np.ndarray:
         return np.array(self.entries)
 
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending, by the symmetric eigensolver: with c the class sizes,
+        sqrt(c_i/c_j) B_ij is symmetric and similar to B."""
+        c = np.array(self.sizes, dtype=float)
+        return np.linalg.eigvalsh(np.sqrt(c[:, None] / c) * self.as_array())
+
     def rho(self) -> float:
-        """Largest real part among eigenvalues (the quotient matrix is
-        generally nonsymmetric)."""
-        return float(np.max(np.linalg.eigvals(self.as_array()).real))
+        """Largest eigenvalue; ValueError unless the partition is equitable."""
+        if not self.equitable:
+            raise ValueError("partition is not equitable")
+        return float(self.eigenvalues()[-1])
 
 
 def quotient(g: Graph, alpha: float, partition) -> QuotientMatrix:
-    check_alpha(alpha)
-    classes = [tuple(c) for c in partition]
-    seen = sorted(v for c in classes for v in c)
-    if seen != list(range(g.n)) or any(not c for c in classes):
+    """The quotient B = P^T M P / sizes, with P the vertex-by-class indicator
+    matrix and M the shared alpha matrix; the partition is equitable when
+    the integer neighbour counts A P are constant within each class."""
+    classes = [list(c) for c in partition]
+    if sorted(v for c in classes for v in c) != list(range(g.n)) or not all(classes):
         raise ValueError("partition must cover all vertices disjointly, no empty classes")
-    k = len(classes)
-    # integer neighbour counts decide equitability exactly
-    counts = [[[sum(g.rows[v] >> u & 1 for u in cj) for cj in classes] for v in ci]
-              for ci in classes]
-    equitable = all(
-        len({row[j] for row in counts[i]}) == 1 for i in range(k) for j in range(k)
-    )
-    entries = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            avg = sum(r[j] for r in counts[i]) / len(classes[i])
-            val = (1 - alpha) * avg
-            if i == j:
-                val += alpha * sum(g.degree(v) for v in classes[i]) / len(classes[i])
-            row.append(val)
-        entries.append(tuple(row))
-    return QuotientMatrix(tuple(entries), equitable)
+    p = np.zeros((g.n, len(classes)))
+    for j, c in enumerate(classes):
+        p[c, j] = 1.0
+    counts = alpha_matrix(g, 0.0) @ p  # exact: sums of 0/1 entries
+    sizes = tuple(len(c) for c in classes)
+    b = p.T @ alpha_matrix(g, alpha) @ p / np.array(sizes)[:, None]
+    equitable = all((counts[c] == counts[c[0]]).all() for c in classes)
+    return QuotientMatrix(tuple(map(tuple, b.tolist())), equitable, sizes)
 
 
 def quotient_radius_check(g: Graph, alpha: float, partition):
-    """(rho of the quotient, full spectral radius, |difference|); the
-    partition must be equitable."""
-    q = quotient(g, alpha, partition)
-    if not q.equitable:
-        raise ValueError("partition is not equitable")
-    rho_q = q.rho()
+    """(rho of the quotient, full spectral radius, |difference|); rho
+    raises ValueError unless the partition is equitable."""
+    rho_q = quotient(g, alpha, partition).rho()
     rho_full = spectral_radius(g, alpha).lam
     return rho_q, rho_full, abs(rho_q - rho_full)
 

@@ -670,6 +670,12 @@ def test_graph6_orders_above_the_cap_are_usage_errors(capsys, built_orders, argv
     assert max(built_orders, default=0) <= MAX_ORDER
 
 
+def test_graph6_cap_error_names_an_eight_byte_order(capsys):
+    code, out, err = run(capsys, "lambda", "g6:~~?@IrL?")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: order 19608384 exceeds the cap of {MAX_ORDER} vertices\n"
+
+
 def test_graph6_orders_at_the_cap_load(capsys):
     for spec in ("g6:" + _edgeless_graph6(MAX_ORDER), _edgeless_graph6(MAX_ORDER)):
         code, out, _ = run(capsys, "lambda", spec, "--format", "json")

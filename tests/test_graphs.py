@@ -21,6 +21,7 @@ from kabminor.graphs import (
     f_graph,
     from_edges,
     from_graph6,
+    graph6_order,
     join,
     path_graph,
     pendant_matching_graph,
@@ -267,6 +268,17 @@ def test_graph6_known_values():
     for truncated in ("~", "~??"):  # long-form order field needs 3 chars
         with pytest.raises(ValueError, match="truncated"):
             from_graph6(truncated)
+
+
+def test_graph6_eight_byte_order_field():
+    # orders above 258047 take '~~' and a 36-bit order in six bytes
+    assert graph6_order("~~??@HN_") == 300_000
+    assert graph6_order("~~?@IrL?") == 19_608_384
+    # the body starts after the 8-byte header, whatever the order
+    assert from_graph6("~~?????C~").rows == complete(4).rows
+    for truncated in ("~~", "~~??@HN"):
+        with pytest.raises(ValueError, match="truncated"):
+            graph6_order(truncated)
 
 
 def _random_graph(n: int, seed: int) -> Graph:

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from kabminor import minors
 from kabminor.extremal import enumerate_graphs
 from kabminor.graphs import (
     _bits,
@@ -12,6 +13,7 @@ from kabminor.graphs import (
     complete_bipartite,
     cycle,
     disjoint_union,
+    empty_graph,
     from_edges,
     from_graph6,
     join,
@@ -353,6 +355,16 @@ def test_star_minor_free_budget():
             if w.expansions:
                 with pytest.raises(BudgetExhausted):
                     star_minor_free(g, b, budget=w.expansions - 1)
+
+
+def test_star_minor_free_above_the_order_builds_no_star(monkeypatch):
+    def refuse(r, s):
+        raise AssertionError(f"built K_{{{r},{s}}}")
+
+    monkeypatch.setattr(minors, "complete_bipartite", refuse)
+    assert star_minor_free(complete(3), 10**5)
+    with pytest.raises(ValueError, match="need b >= 1"):
+        star_minor_free(empty_graph(0), 0)
 
 
 def _plain_has_minor(g, h):

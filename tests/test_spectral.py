@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kabminor import spectral
-from kabminor.extremal import enumerate_graphs
+from kabminor.extremal import _stable_partition, enumerate_graphs
 from kabminor.graphs import (
     Graph,
     _bits,
@@ -314,6 +314,30 @@ def test_quotient_validation():
         quotient(g, 0.1, [(0, 1), (1, 2, 3)])
     with pytest.raises(ValueError):
         quotient_radius_check(subdivided_clique(4, 1), 0.1, [tuple(range(5))])
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
+def test_quotient_eigenvalues_match_the_nonsymmetric_reference(a):
+    # the stable partition of every graph is equitable; the reference
+    # solves the quotient matrix as it stands, with the nonsymmetric solver
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            q = quotient(g, a, _stable_partition(g.rows))
+            assert q.equitable
+            ref = np.sort(np.linalg.eigvals(q.as_array()).real)
+            got = q.eigenvalues()
+            scale = max(1.0, abs(ref).max())
+            assert np.abs(got - ref).max() <= 1e-12 * scale, (g.to_graph6(), a)
+            if g.is_connected():
+                lam = spectral_radius(g, a).lam
+                assert abs(q.rho() - lam) <= 1e-12 * max(1.0, lam), (g.to_graph6(), a)
+
+
+def test_quotient_rho_refuses_a_partition_that_is_not_equitable():
+    g = subdivided_clique(4, 1)
+    q = quotient(g, 0.3, [tuple(range(g.n))])
+    with pytest.raises(ValueError, match="not equitable"):
+        q.rho()
 
 
 def test_quotient_char_poly_matches_cubic():

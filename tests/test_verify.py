@@ -31,7 +31,7 @@ from kabminor.verify import (
     check_theorem_small_n,
     run_suites,
 )
-from kabminor.spectral import spectral_radius
+from kabminor.spectral import quotient_radius_check, spectral_radius, subdivided_clique_partition
 
 
 def test_alpha_grid():
@@ -247,6 +247,19 @@ def test_suite_registry_and_unknown():
 def test_run_suites_subset():
     outs = run_suites(["lemma-updown", "polynomial-identities"])
     assert len(outs) == 7
+
+
+def test_quotient_checks_use_no_nonsymmetric_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nonsymmetric eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    outs = run_suites(["polynomial-identities"])
+    assert [o.status for o in outs] == [STATUS_PASS] * len(outs)
+    assert {"quotient-radius-equality", "quotient-cubic-identity"} <= {o.check_id for o in outs}
+    rq, rf, d = quotient_radius_check(subdivided_clique(5, 1), 0.5, subdivided_clique_partition(5))
+    assert d <= 1e-9 * rf
 
 
 def test_margins_agree_with_statuses():
