@@ -23,10 +23,13 @@ larger lowest vertex than that of the twin placed before it.  This
 searches one model out of every r!*s! relabellings and leaves every
 verdict unchanged.
 
-Both searches walk connected vertex sets with _connected_subsets, which
-yields each set exactly once together with the OR of its rows, so a
-candidate's neighbourhood is never recomputed.  One expansion is one
-connected set examined.  The count is part of the contract of the
+Both searches walk the connected vertex sets of the free vertices, each
+exactly once together with the OR of its rows, so a candidate's
+neighbourhood is never recomputed.  The star route draws them from the
+generator _connected_subsets; the branch-set search walks them inline,
+with no generator resumed and no tuple built per set, and visits the
+same sets in the same order.  One expansion is one connected set
+examined.  The count is part of the contract of the
 `minor` report (its "expansions" field) and fixes the exact expansion at
 which a budget runs out, so a change that only makes the search faster
 must try the same sets in the same order and leave every count as it
@@ -36,6 +39,8 @@ is; tests/test_minors.py pins them with a digest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import Graph, _bits, _twin_classes, complete_bipartite
 
@@ -101,7 +106,10 @@ def _connected_subsets(rows, allowed: int, max_size: int):
     first candidate it contains.  The walk is depth first: the current
     set's (S, N, untried candidates, allowed) live in locals, and an
     explicit stack holds those of the sets it grew from, so the depth of
-    a set costs no recursion.  Roots are taken lowest bit first."""
+    a set costs no recursion.  Roots are taken lowest bit first.
+
+    _minor_search walks the same sets in the same order inline, at each
+    level of its assignment, rather than through this generator."""
     rest = allowed
     stack = []
     while rest:
@@ -128,6 +136,33 @@ def _connected_subsets(rows, allowed: int, max_size: int):
         rest &= rest - 1
 
 
+class _Pattern(NamedTuple):
+    """What has_minor and _minor_search use of a pattern h, worked out
+    once per pattern by _pattern: its edge count, whether it is connected
+    and a star, the placement order (decreasing degree, then index), and
+    per placement index the indices of the neighbours placed before it
+    and of the twin placed just before it (None when it has none)."""
+
+    e: int
+    connected: bool
+    star: bool
+    order: tuple[int, ...]
+    placed_nbrs: tuple[tuple[int, ...], ...]
+    twin_before: tuple[int | None, ...]
+
+
+@lru_cache(maxsize=64)
+def _pattern(h: Graph) -> _Pattern:
+    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+    pos = {hv: i for i, hv in enumerate(order)}
+    placed_nbrs = tuple(tuple(pos[u] for u in h.neighbors(hv) if pos[u] < i) for i, hv in enumerate(order))
+    twin_before = [None] * h.n
+    for cls in _twin_classes(h.rows, order):
+        for prev, hv in zip(cls, cls[1:]):
+            twin_before[pos[hv]] = pos[prev]
+    return _Pattern(h.e, h.is_connected(), _is_star(h), tuple(order), placed_nbrs, tuple(twin_before))
+
+
 def _minor_search(g: Graph, h: Graph, budget: int, within: int):
     """Backtracking branch-set assignment inside the vertex mask `within`;
     returns (found, branch_masks, expansions) or raises BudgetExhausted.
@@ -138,15 +173,18 @@ def _minor_search(g: Graph, h: Graph, budget: int, within: int):
     sets, so a vertex with a twin placed before it draws only from free
     vertices above the lowest vertex of that twin's branch set.  Every
     model becomes one of this form by reordering each twin class's branch
-    sets, so the verdict is that of the unbroken search."""
-    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+    sets, so the verdict is that of the unbroken search.
+
+    Each level walks the connected subsets of its allowed vertices inline,
+    with no generator between the walk and the test of a set.  The walk is
+    that of _connected_subsets, so the two visit the same sets in the same
+    order; it only leaves off the stack a set with no untried candidate,
+    which the generator pushes and pops again at once."""
+    p = _pattern(h)
     nh = h.n
-    pos = {hv: i for i, hv in enumerate(order)}
-    placed_nbrs = [[pos[u] for u in h.neighbors(hv) if pos[u] < i] for i, hv in enumerate(order)]
-    twin_before = [None] * nh
-    for cls in _twin_classes(h.rows, order):
-        for prev, hv in zip(cls, cls[1:]):
-            twin_before[pos[hv]] = pos[prev]
+    placed_nbrs = p.placed_nbrs
+    twin_before = p.twin_before
+    rows = g.rows
     count = 0
     branch = [0] * nh
 
@@ -163,17 +201,41 @@ def _minor_search(g: Graph, h: Graph, budget: int, within: int):
             low = branch[twin_before[i]]
             allowed &= ~((low & -low) * 2 - 1)
         placed_masks = [branch[j] for j in placed_nbrs[i]]
-        for s, nb in _connected_subsets(g.rows, allowed, slack + 1):
-            count += 1
-            if count > budget:
-                raise BudgetExhausted(f"expansion budget {budget} exhausted")
-            for pm in placed_masks:
-                if not nb & pm:
+        # _connected_subsets inline: the inner loop examines s (nb the OR
+        # of its rows), grows it when it has room, and then takes the
+        # next untried candidate of the deepest set that has one
+        rest = allowed
+        stack = []
+        while rest:
+            s = rest & -rest
+            nb = rows[s.bit_length() - 1]
+            ext = rest
+            cand = 0
+            while True:
+                count += 1
+                if count > budget:
+                    raise BudgetExhausted(f"expansion budget {budget} exhausted")
+                for pm in placed_masks:
+                    if not nb & pm:
+                        break
+                else:
+                    branch[i] = s
+                    if assign(i + 1, used | s):
+                        return True
+                if s.bit_count() <= slack:
+                    if cand:
+                        stack.append((fs, fnb, cand, ext))
+                    fs, fnb, cand = s, nb, nb & ext & ~s
+                while not cand and stack:
+                    fs, fnb, cand, ext = stack.pop()
+                if not cand:
                     break
-            else:
-                branch[i] = s
-                if assign(i + 1, used | s):
-                    return True
+                low = cand & -cand
+                cand ^= low
+                ext &= ~low
+                s = fs | low
+                nb = fnb | rows[low.bit_length() - 1]
+            rest &= rest - 1
         return False
 
     found = assign(0, 0)
@@ -181,7 +243,7 @@ def _minor_search(g: Graph, h: Graph, budget: int, within: int):
         return False, None, count
     # undo the placement order: report branch sets indexed by H-vertex
     out = [0] * nh
-    for i, hv in enumerate(order):
+    for i, hv in enumerate(p.order):
         out[hv] = branch[i]
     return True, out, count
 
@@ -250,18 +312,23 @@ def _star_search(g: Graph, h: Graph, budget: int, within: int):
 
 
 def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
-    """Exact minor test within the expansion budget.  A "contains" answer
-    carries branch sets that revalidate independently."""
+    """Exact minor test within the expansion budget (>= 0).  A "contains"
+    answer carries branch sets that revalidate independently."""
     if h.n < 1:
         raise ValueError("pattern must be nonempty")
-    if h.n > g.n or h.e > g.e:
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    if h.n > g.n:
+        return MinorWitness(VERDICT_FREE, None, 0)
+    p = _pattern(h)
+    if p.e > g.e:
         return MinorWitness(VERDICT_FREE, None, 0)
     # a connected pattern must live inside one component, searched in place
-    parts = g.component_masks() if h.is_connected() else [(1 << g.n) - 1]
-    search = _star_search if _is_star(h) else _minor_search
+    parts = g.component_masks() if p.connected else [(1 << g.n) - 1]
+    search = _star_search if p.star else _minor_search
     spent = 0
     for mask in parts:
-        if h.n > mask.bit_count() or 2 * h.e > sum((g.rows[v] & mask).bit_count() for v in _bits(mask)):
+        if h.n > mask.bit_count() or 2 * p.e > sum((g.rows[v] & mask).bit_count() for v in _bits(mask)):
             continue
         try:
             found, masks, used = search(g, h, budget - spent, mask)

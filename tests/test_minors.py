@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from kabminor import minors
-from kabminor.extremal import enumerate_graphs
+from kabminor.extremal import enumerate_graphs, survivors
 from kabminor.graphs import (
+    Graph,
     _bits,
+    _twin_classes,
     complete,
     complete_bipartite,
     cycle,
@@ -333,6 +335,31 @@ def test_budget_verdict():
     assert w.branch_sets is None
 
 
+def test_negative_budget_is_refused():
+    # a negative budget would report a negative expansion count; budget 0
+    # keeps its answers: out of budget at the first expansion, or free
+    # with none spent when the edge count rejects the pattern
+    g, h = petersen(), complete_bipartite(2, 3)
+    for call in (lambda: has_minor(g, h, budget=-5),
+                 lambda: star_minor_free(g, 3, budget=-1),
+                 lambda: ab_property(g, 2, 4, budget=-1),
+                 lambda: survivors(enumerate_graphs(6), "kab-minor-free:2,3", budget=-1)):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            call()
+    assert has_minor(g, h, budget=0) == MinorWitness(VERDICT_BUDGET, None, 0)
+    assert has_minor(g, complete_bipartite(5, 5), budget=0) == MinorWitness(VERDICT_FREE, None, 0)
+
+
+def test_pattern_facts_are_worked_out_once_per_pattern():
+    # equal patterns built afresh for every call share one record
+    minors._pattern.cache_clear()
+    g = petersen_complement()
+    for r, s in ((2, 6), (2, 6), (1, 7), (2, 6), (1, 7)):
+        has_minor(g, complete_bipartite(r, s))
+    info = minors._pattern.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+
+
 def test_edge_count_quick_rejection():
     # a minor never has more edges than its host
     w = has_minor(petersen(), complete_bipartite(5, 5), budget=1)
@@ -445,3 +472,145 @@ def test_search_tree_digest_matches_reference():
         spent = has_minor(g, h).expansions
         assert has_minor(g, h, budget=spent).expansions == spent
         assert has_minor(g, h, budget=spent - 1).verdict == VERDICT_BUDGET
+
+
+# The generator-driven branch-set search that the inline walk of
+# _minor_search replaced, verbatim but for the two names: the reference
+# for the differential test below.
+
+
+def _reference_connected_subsets(rows, allowed: int, max_size: int):
+    """Yield (S, N) for every nonempty connected vertex subset S (as a
+    bitmask) of the graph restricted to `allowed`, each exactly once, up
+    to max_size; N is the OR of the rows of S.
+
+    Sets whose minimum vertex is v grow from {v} by vertices above v.  A
+    set's extensions are tried candidate by candidate, and a tried
+    candidate leaves the set's `allowed` for its later candidates and all
+    their descendants, so each set is yielded once, in the branch of the
+    first candidate it contains.  The walk is depth first: the current
+    set's (S, N, untried candidates, allowed) live in locals, and an
+    explicit stack holds those of the sets it grew from, so the depth of
+    a set costs no recursion.  Roots are taken lowest bit first."""
+    rest = allowed
+    stack = []
+    while rest:
+        fs = rest & -rest
+        fnb = rows[fs.bit_length() - 1]
+        yield fs, fnb
+        ext = rest
+        cand = fnb & rest & ~fs if max_size > 1 else 0
+        while True:
+            if not cand:
+                if not stack:
+                    break
+                fs, fnb, cand, ext = stack.pop()
+                continue
+            low = cand & -cand
+            cand ^= low
+            ext &= ~low
+            s = fs | low
+            nb = fnb | rows[low.bit_length() - 1]
+            yield s, nb
+            if s.bit_count() < max_size:
+                stack.append((fs, fnb, cand, ext))
+                fs, fnb, cand = s, nb, nb & ext & ~s
+        rest &= rest - 1
+
+
+def _reference_minor_search(g: Graph, h: Graph, budget: int, within: int):
+    """Backtracking branch-set assignment inside the vertex mask `within`;
+    returns (found, branch_masks, expansions) or raises BudgetExhausted.
+
+    H-vertices are placed in order of decreasing degree, each drawing its
+    branch set from the connected sets of the still-free vertices.  Twins
+    of h (rows equal once their mutual bit is cleared) can swap branch
+    sets, so a vertex with a twin placed before it draws only from free
+    vertices above the lowest vertex of that twin's branch set.  Every
+    model becomes one of this form by reordering each twin class's branch
+    sets, so the verdict is that of the unbroken search."""
+    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+    nh = h.n
+    pos = {hv: i for i, hv in enumerate(order)}
+    placed_nbrs = [[pos[u] for u in h.neighbors(hv) if pos[u] < i] for i, hv in enumerate(order)]
+    twin_before = [None] * nh
+    for cls in _twin_classes(h.rows, order):
+        for prev, hv in zip(cls, cls[1:]):
+            twin_before[pos[hv]] = pos[prev]
+    count = 0
+    branch = [0] * nh
+
+    def assign(i: int, used: int):
+        nonlocal count
+        if i == nh:
+            return True
+        free = within & ~used
+        slack = free.bit_count() - (nh - i)
+        if slack < 0:
+            return False
+        allowed = free
+        if twin_before[i] is not None:
+            low = branch[twin_before[i]]
+            allowed &= ~((low & -low) * 2 - 1)
+        placed_masks = [branch[j] for j in placed_nbrs[i]]
+        for s, nb in _reference_connected_subsets(g.rows, allowed, slack + 1):
+            count += 1
+            if count > budget:
+                raise BudgetExhausted(f"expansion budget {budget} exhausted")
+            for pm in placed_masks:
+                if not nb & pm:
+                    break
+            else:
+                branch[i] = s
+                if assign(i + 1, used | s):
+                    return True
+        return False
+
+    found = assign(0, 0)
+    if not found:
+        return False, None, count
+    # undo the placement order: report branch sets indexed by H-vertex
+    out = [0] * nh
+    for i, hv in enumerate(order):
+        out[hv] = branch[i]
+    return True, out, count
+
+
+def _search_outcome(search, g, h, budget, within):
+    try:
+        return search(g, h, budget, within)
+    except BudgetExhausted:
+        return "budget"
+
+
+def test_inline_walk_matches_generator_driven_search():
+    # (found, branch masks, expansions) of the inline walk equal the
+    # generator-driven search's on the whole vertex set and on every
+    # component large enough for the pattern.  The inline walk runs with
+    # the reference's count as its budget, which must be enough, and runs
+    # out one expansion below it, like the reference
+    k = {rs: complete_bipartite(*rs) for rs in ((2, 3), (2, 4), (3, 3), (2, 6), (4, 4), (2, 7), (3, 6))}
+    cases = [(g, k[rs]) for n in range(1, 8) for g in enumerate_graphs(n)
+             for rs in ((2, 3), (2, 4), (3, 3))]
+    cases += [(g, k[2, 4]) for g in enumerate_graphs(8)[::25]]
+    cases += [(petersen_complement(), k[rs]) for rs in ((2, 6), (4, 4), (2, 7), (3, 6))]
+    searches = 0
+    for g, h in cases:
+        for within in {(1 << g.n) - 1, *g.component_masks()}:
+            if h.n > within.bit_count():
+                continue
+            expected = _reference_minor_search(g, h, DEFAULT_BUDGET, within)
+            spent = expected[2]
+            assert _minor_search(g, h, spent, within) == expected, (g.to_graph6(), h.rows, within)
+            if spent:
+                with pytest.raises(BudgetExhausted):
+                    _minor_search(g, h, spent - 1, within)
+            searches += 1
+    assert searches == 4575
+    # the reference, verbatim, runs out one expansion below its count too;
+    # shown on the four large searches, since it is deterministic
+    g = petersen_complement()
+    for rs in ((2, 6), (4, 4), (2, 7), (3, 6)):
+        spent = _reference_minor_search(g, k[rs], DEFAULT_BUDGET, (1 << g.n) - 1)[2]
+        with pytest.raises(BudgetExhausted):
+            _reference_minor_search(g, k[rs], spent - 1, (1 << g.n) - 1)
