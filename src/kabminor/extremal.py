@@ -564,6 +564,8 @@ def _filter(corpus, constraint: str, budget: int, jobs: int = 1):
     The checks run through one _mapper for the whole call, which joins
     the verdicts of its slices in order, so results are independent of
     jobs."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     pairs = _forbidden_pairs(constraint)
     if isinstance(corpus, InternalCorpus):
         with _mapper(jobs, len(corpus)) as pmap:

@@ -44,8 +44,9 @@ class Graph:
     """Immutable simple undirected graph.
 
     rows[v] is the neighbourhood bitmask of v.  labels, when present, are
-    advisory vertex annotations (e.g. "apex", "clique", "path"); no
-    algorithm consults them.
+    vertex annotations (e.g. "apex", "clique", "path").  No search, minor
+    test or spectral solve consults them; verify.check_degree_ordering_claim
+    finds the F-block's path ends by their labels "v1" and "v3".
     """
 
     n: int

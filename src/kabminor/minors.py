@@ -23,17 +23,24 @@ larger lowest vertex than that of the twin placed before it.  This
 searches one model out of every r!*s! relabellings and leaves every
 verdict unchanged.
 
-Both searches walk the connected vertex sets of the free vertices, each
-exactly once together with the OR of its rows, so a candidate's
-neighbourhood is never recomputed.  The star route draws them from the
-generator _connected_subsets; the branch-set search walks them inline,
-with no generator resumed and no tuple built per set, and visits the
-same sets in the same order.  One expansion is one connected set
-examined.  The count is part of the contract of the
-`minor` report (its "expansions" field) and fixes the exact expansion at
-which a budget runs out, so a change that only makes the search faster
-must try the same sets in the same order and leave every count as it
-is; tests/test_minors.py pins them with a digest.
+Both searches walk the connected vertex sets of the free vertices inline,
+in one order, each set exactly once together with the OR of its rows, so
+a candidate's neighbourhood is never recomputed and no generator is
+resumed or tuple built per set.  Sets whose minimum vertex is v grow
+from {v} by vertices above v, roots lowest bit first; a set's
+extensions are tried candidate by candidate, and a tried candidate
+leaves the set's allowed vertices for its later candidates and all
+their descendants, so each set is reached once, in the branch of the
+first candidate it contains.  The walk is depth first, with an explicit
+stack of the sets a set grew from, so the depth of a set costs no
+recursion.  tests/test_minors.py keeps this walk as a generator, the
+reference that both searches are compared against.
+
+One expansion is one connected set examined.  The count is part of the
+contract of the `minor` report (its "expansions" field) and fixes the
+exact expansion at which a budget runs out, so a change that only makes
+the search faster must try the same sets in the same order and leave
+every count as it is; tests/test_minors.py pins them with a digest.
 """
 
 from __future__ import annotations
@@ -94,50 +101,8 @@ def validate_witness(g: Graph, h: Graph, witness: MinorWitness) -> bool:
     return True
 
 
-def _connected_subsets(rows, allowed: int, max_size: int):
-    """Yield (S, N) for every nonempty connected vertex subset S (as a
-    bitmask) of the graph restricted to `allowed`, each exactly once, up
-    to max_size; N is the OR of the rows of S.
-
-    Sets whose minimum vertex is v grow from {v} by vertices above v.  A
-    set's extensions are tried candidate by candidate, and a tried
-    candidate leaves the set's `allowed` for its later candidates and all
-    their descendants, so each set is yielded once, in the branch of the
-    first candidate it contains.  The walk is depth first: the current
-    set's (S, N, untried candidates, allowed) live in locals, and an
-    explicit stack holds those of the sets it grew from, so the depth of
-    a set costs no recursion.  Roots are taken lowest bit first.
-
-    _minor_search walks the same sets in the same order inline, at each
-    level of its assignment, rather than through this generator."""
-    rest = allowed
-    stack = []
-    while rest:
-        fs = rest & -rest
-        fnb = rows[fs.bit_length() - 1]
-        yield fs, fnb
-        ext = rest
-        cand = fnb & rest & ~fs if max_size > 1 else 0
-        while True:
-            if not cand:
-                if not stack:
-                    break
-                fs, fnb, cand, ext = stack.pop()
-                continue
-            low = cand & -cand
-            cand ^= low
-            ext &= ~low
-            s = fs | low
-            nb = fnb | rows[low.bit_length() - 1]
-            yield s, nb
-            if s.bit_count() < max_size:
-                stack.append((fs, fnb, cand, ext))
-                fs, fnb, cand = s, nb, nb & ext & ~s
-        rest &= rest - 1
-
-
 class _Pattern(NamedTuple):
-    """What has_minor and _minor_search use of a pattern h, worked out
+    """What has_minor and the two searches use of a pattern h, worked out
     once per pattern by _pattern: its edge count, whether it is connected
     and a star, the placement order (decreasing degree, then index), and
     per placement index the indices of the neighbours placed before it
@@ -176,10 +141,8 @@ def _minor_search(g: Graph, h: Graph, budget: int, within: int):
     sets, so the verdict is that of the unbroken search.
 
     Each level walks the connected subsets of its allowed vertices inline,
-    with no generator between the walk and the test of a set.  The walk is
-    that of _connected_subsets, so the two visit the same sets in the same
-    order; it only leaves off the stack a set with no untried candidate,
-    which the generator pushes and pops again at once."""
+    in the walk order of the module docstring, and leaves off the stack a
+    set with no untried candidate."""
     p = _pattern(h)
     nh = h.n
     placed_nbrs = p.placed_nbrs
@@ -201,9 +164,9 @@ def _minor_search(g: Graph, h: Graph, budget: int, within: int):
             low = branch[twin_before[i]]
             allowed &= ~((low & -low) * 2 - 1)
         placed_masks = [branch[j] for j in placed_nbrs[i]]
-        # _connected_subsets inline: the inner loop examines s (nb the OR
-        # of its rows), grows it when it has room, and then takes the
-        # next untried candidate of the deepest set that has one
+        # the inner loop examines s (nb the OR of its rows), grows it when
+        # it has room, and then takes the next untried candidate of the
+        # deepest set that has one
         rest = allowed
         stack = []
         while rest:
@@ -248,40 +211,12 @@ def _minor_search(g: Graph, h: Graph, budget: int, within: int):
     return True, out, count
 
 
-def _star_boundary(g: Graph, b: int, budget: int, within: int):
-    """The boundary criterion for K_{1,b} inside the vertex mask `within`,
-    a union of components of g: a star minor with b leaves exists iff some
-    connected set S has at least b neighbours outside S.  Returns (S, N(S)
-    minus S, expansions) for the first such S found, or (0, 0,
-    expansions); one expansion per connected set examined, and raises
-    BudgetExhausted past the budget.  Singletons go first, since a vertex
-    of degree >= b settles it; larger sets need |S| <= |within| - b."""
-    rows = g.rows
-    count = 0
-    for v in _bits(within):
-        count += 1
-        if count > budget:
-            raise BudgetExhausted(f"expansion budget {budget} exhausted")
-        if rows[v].bit_count() >= b:
-            return 1 << v, rows[v], count
-    for s, nb in _connected_subsets(rows, within, within.bit_count() - b):
-        if not s & (s - 1):
-            continue
-        count += 1
-        if count > budget:
-            raise BudgetExhausted(f"expansion budget {budget} exhausted")
-        nb &= ~s
-        if nb.bit_count() >= b:
-            return s, nb, count
-    return 0, 0, count
-
-
 def star_certificate(rows, s: int) -> bool:
     """Whether the graph with adjacency rows shows a K_{1,s} minor in
     O(n + e): a vertex of degree >= s, or an edge uv with
     |N(u) | N(v) minus {u, v}| >= s.  These are the |S| <= 2 sets of
-    _star_boundary's criterion, so True implies the minor; False decides
-    nothing."""
+    _star_search's boundary criterion, so True implies the minor; False
+    decides nothing."""
     for v, r in enumerate(rows):
         if r.bit_count() >= s:
             return True
@@ -300,15 +235,61 @@ def _is_star(h: Graph) -> bool:
 
 
 def _star_search(g: Graph, h: Graph, budget: int, within: int):
-    """_minor_search for a star pattern h via the boundary criterion: the
-    centre's branch set is S, each leaf a single vertex of N(S) minus S."""
-    s, nb, used = _star_boundary(g, h.n - 1, budget, within)
-    if not s:
-        return False, None, used
-    centre = next(v for v in range(h.n) if h.degree(v) == h.n - 1)
-    out = [1 << u for u in _bits(nb)][: h.n - 1]
-    out.insert(centre, s)
-    return True, out, used
+    """_minor_search for a star pattern h = K_{1,b} via the boundary
+    criterion: inside the vertex mask `within`, a union of components of
+    g, the minor exists iff some connected set S has at least b
+    neighbours outside S.  The centre's branch set is the first such S,
+    each leaf a single vertex of N(S) minus S.  Returns (found,
+    branch_masks, expansions) or raises BudgetExhausted; one expansion per
+    connected set examined.
+
+    Singletons go first, since a vertex of degree >= b settles it.  Then
+    the sets of size 2 to |within| - b are walked inline in the order of
+    _minor_search's walk, from each root but without examining it again."""
+    b = h.n - 1
+    rows = g.rows
+    count = 0
+
+    def found(s: int, nb: int):
+        out = [1 << u for u in _bits(nb & ~s)][:b]
+        out.insert(_pattern(h).order[0], s)  # the placement order puts the centre first
+        return True, out, count
+
+    for v in _bits(within):
+        count += 1
+        if count > budget:
+            raise BudgetExhausted(f"expansion budget {budget} exhausted")
+        if rows[v].bit_count() >= b:
+            return found(1 << v, rows[v])
+    cap = within.bit_count() - b
+    rest = within if cap > 1 else 0
+    stack = []
+    while rest:
+        fs = rest & -rest
+        fnb = rows[fs.bit_length() - 1]
+        ext = rest
+        cand = fnb & rest & ~fs
+        while True:
+            while not cand and stack:
+                fs, fnb, cand, ext = stack.pop()
+            if not cand:
+                break
+            low = cand & -cand
+            cand ^= low
+            ext &= ~low
+            s = fs | low
+            nb = fnb | rows[low.bit_length() - 1]
+            count += 1
+            if count > budget:
+                raise BudgetExhausted(f"expansion budget {budget} exhausted")
+            if (nb & ~s).bit_count() >= b:
+                return found(s, nb)
+            if s.bit_count() < cap:
+                if cand:
+                    stack.append((fs, fnb, cand, ext))
+                fs, fnb, cand = s, nb, nb & ext & ~s
+        rest &= rest - 1
+    return False, None, count
 
 
 def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
@@ -346,10 +327,12 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
 def star_minor_free(g: Graph, b: int, budget: int = DEFAULT_BUDGET) -> bool:
     """K_{1,b}-minor freeness: the boolean view of has_minor(g, K_{1,b},
     budget), whose star route decides it by the boundary criterion
-    (_star_boundary) and revalidates the witness of a star found.  Raises
+    (_star_search) and revalidates the witness of a star found.  Raises
     BudgetExhausted when the expansion budget runs out first."""
     if b < 1:
         raise ValueError("need b >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if b + 1 > g.n:  # too few vertices: free, with no K_{1,b} built
         return True
     verdict = has_minor(g, complete_bipartite(1, b), budget).verdict

@@ -33,8 +33,8 @@ from kabminor.minors import (
     VERDICT_FREE,
     BudgetExhausted,
     MinorWitness,
-    _connected_subsets,
     _minor_search,
+    _star_search,
     ab_pairs,
     ab_property,
     ab_property_complement_criterion,
@@ -136,6 +136,52 @@ def _is_connected_mask(rows, mask):
     return seen == mask
 
 
+# The connected-set walk as the generator both searches once drew their
+# sets from, verbatim but for its name.  Both searches now walk the sets
+# inline; this generator is the reference their differential tests
+# compare against, itself checked against brute force and against the
+# recursive walker below.
+
+
+def _reference_connected_subsets(rows, allowed: int, max_size: int):
+    """Yield (S, N) for every nonempty connected vertex subset S (as a
+    bitmask) of the graph restricted to `allowed`, each exactly once, up
+    to max_size; N is the OR of the rows of S.
+
+    Sets whose minimum vertex is v grow from {v} by vertices above v.  A
+    set's extensions are tried candidate by candidate, and a tried
+    candidate leaves the set's `allowed` for its later candidates and all
+    their descendants, so each set is yielded once, in the branch of the
+    first candidate it contains.  The walk is depth first: the current
+    set's (S, N, untried candidates, allowed) live in locals, and an
+    explicit stack holds those of the sets it grew from, so the depth of
+    a set costs no recursion.  Roots are taken lowest bit first."""
+    rest = allowed
+    stack = []
+    while rest:
+        fs = rest & -rest
+        fnb = rows[fs.bit_length() - 1]
+        yield fs, fnb
+        ext = rest
+        cand = fnb & rest & ~fs if max_size > 1 else 0
+        while True:
+            if not cand:
+                if not stack:
+                    break
+                fs, fnb, cand, ext = stack.pop()
+                continue
+            low = cand & -cand
+            cand ^= low
+            ext &= ~low
+            s = fs | low
+            nb = fnb | rows[low.bit_length() - 1]
+            yield s, nb
+            if s.bit_count() < max_size:
+                stack.append((fs, fnb, cand, ext))
+                fs, fnb, cand = s, nb, nb & ext & ~s
+        rest &= rest - 1
+
+
 def test_connected_subsets_exactly_once():
     # the walker against brute force: every connected subset of the
     # allowed vertices up to the size cap, each once, with N the OR of
@@ -147,7 +193,7 @@ def test_connected_subsets_exactly_once():
             cases = [(full, n)]
             cases += [(int(rng.integers(0, full + 1)), int(rng.integers(1, n + 1))) for _ in range(3)]
             for allowed, cap in cases:
-                got = list(_connected_subsets(g.rows, allowed, cap))
+                got = list(_reference_connected_subsets(g.rows, allowed, cap))
                 expected = [m for m in range(1, full + 1)
                             if m & ~allowed == 0 and m.bit_count() <= cap
                             and _is_connected_mask(g.rows, m)]
@@ -160,8 +206,8 @@ def test_connected_subsets_exactly_once():
 
 
 def _connected_subsets_recursive(rows, allowed, max_size):
-    # the recursive walker that _connected_subsets replaced: one Python
-    # frame per vertex of the set being grown
+    # the recursive walker that the explicit-stack walk replaced: one
+    # Python frame per vertex of the set being grown
     def grow(s, nb, allowed):
         yield s, nb
         if s.bit_count() >= max_size:
@@ -186,7 +232,7 @@ def test_connected_subsets_order_matches_recursive_walker():
         full = (1 << n) - 1
         for g in enumerate_graphs(n):
             for cap in sorted({1, 2, n}):
-                assert list(_connected_subsets(g.rows, full, cap)) \
+                assert list(_reference_connected_subsets(g.rows, full, cap)) \
                     == list(_connected_subsets_recursive(g.rows, full, cap)), (g.to_graph6(), cap)
 
 
@@ -336,14 +382,17 @@ def test_budget_verdict():
 
 
 def test_negative_budget_is_refused():
-    # a negative budget would report a negative expansion count; budget 0
-    # keeps its answers: out of budget at the first expansion, or free
-    # with none spent when the edge count rejects the pattern
+    # a negative budget would report a negative expansion count, and is
+    # refused also where no search would run; budget 0 keeps its answers:
+    # out of budget at the first expansion, or free with none spent when
+    # the edge count rejects the pattern
     g, h = petersen(), complete_bipartite(2, 3)
     for call in (lambda: has_minor(g, h, budget=-5),
                  lambda: star_minor_free(g, 3, budget=-1),
                  lambda: ab_property(g, 2, 4, budget=-1),
-                 lambda: survivors(enumerate_graphs(6), "kab-minor-free:2,3", budget=-1)):
+                 lambda: survivors(enumerate_graphs(6), "kab-minor-free:2,3", budget=-1),
+                 lambda: star_minor_free(complete(3), 10, budget=-1),
+                 lambda: survivors([], "kab-minor-free:2,3", budget=-1)):
         with pytest.raises(ValueError, match="budget must be >= 0"):
             call()
     assert has_minor(g, h, budget=0) == MinorWitness(VERDICT_BUDGET, None, 0)
@@ -475,47 +524,8 @@ def test_search_tree_digest_matches_reference():
 
 
 # The generator-driven branch-set search that the inline walk of
-# _minor_search replaced, verbatim but for the two names: the reference
-# for the differential test below.
-
-
-def _reference_connected_subsets(rows, allowed: int, max_size: int):
-    """Yield (S, N) for every nonempty connected vertex subset S (as a
-    bitmask) of the graph restricted to `allowed`, each exactly once, up
-    to max_size; N is the OR of the rows of S.
-
-    Sets whose minimum vertex is v grow from {v} by vertices above v.  A
-    set's extensions are tried candidate by candidate, and a tried
-    candidate leaves the set's `allowed` for its later candidates and all
-    their descendants, so each set is yielded once, in the branch of the
-    first candidate it contains.  The walk is depth first: the current
-    set's (S, N, untried candidates, allowed) live in locals, and an
-    explicit stack holds those of the sets it grew from, so the depth of
-    a set costs no recursion.  Roots are taken lowest bit first."""
-    rest = allowed
-    stack = []
-    while rest:
-        fs = rest & -rest
-        fnb = rows[fs.bit_length() - 1]
-        yield fs, fnb
-        ext = rest
-        cand = fnb & rest & ~fs if max_size > 1 else 0
-        while True:
-            if not cand:
-                if not stack:
-                    break
-                fs, fnb, cand, ext = stack.pop()
-                continue
-            low = cand & -cand
-            cand ^= low
-            ext &= ~low
-            s = fs | low
-            nb = fnb | rows[low.bit_length() - 1]
-            yield s, nb
-            if s.bit_count() < max_size:
-                stack.append((fs, fnb, cand, ext))
-                fs, fnb, cand = s, nb, nb & ext & ~s
-        rest &= rest - 1
+# _minor_search replaced, verbatim but for its name and that of the
+# generator it draws from: the reference for the differential test below.
 
 
 def _reference_minor_search(g: Graph, h: Graph, budget: int, within: int):
@@ -614,3 +624,72 @@ def test_inline_walk_matches_generator_driven_search():
         spent = _reference_minor_search(g, k[rs], DEFAULT_BUDGET, (1 << g.n) - 1)[2]
         with pytest.raises(BudgetExhausted):
             _reference_minor_search(g, k[rs], spent - 1, (1 << g.n) - 1)
+
+
+# The star route that the inline walk of _star_search replaced, verbatim
+# but for the two names and for the generator it draws from: the reference
+# for the differential test below.
+
+
+def _reference_star_boundary(g: Graph, b: int, budget: int, within: int):
+    """The boundary criterion for K_{1,b} inside the vertex mask `within`,
+    a union of components of g: a star minor with b leaves exists iff some
+    connected set S has at least b neighbours outside S.  Returns (S, N(S)
+    minus S, expansions) for the first such S found, or (0, 0,
+    expansions); one expansion per connected set examined, and raises
+    BudgetExhausted past the budget.  Singletons go first, since a vertex
+    of degree >= b settles it; larger sets need |S| <= |within| - b."""
+    rows = g.rows
+    count = 0
+    for v in _bits(within):
+        count += 1
+        if count > budget:
+            raise BudgetExhausted(f"expansion budget {budget} exhausted")
+        if rows[v].bit_count() >= b:
+            return 1 << v, rows[v], count
+    for s, nb in _reference_connected_subsets(rows, within, within.bit_count() - b):
+        if not s & (s - 1):
+            continue
+        count += 1
+        if count > budget:
+            raise BudgetExhausted(f"expansion budget {budget} exhausted")
+        nb &= ~s
+        if nb.bit_count() >= b:
+            return s, nb, count
+    return 0, 0, count
+
+
+def _reference_star_search(g: Graph, h: Graph, budget: int, within: int):
+    """_minor_search for a star pattern h via the boundary criterion: the
+    centre's branch set is S, each leaf a single vertex of N(S) minus S."""
+    s, nb, used = _reference_star_boundary(g, h.n - 1, budget, within)
+    if not s:
+        return False, None, used
+    centre = next(v for v in range(h.n) if h.degree(v) == h.n - 1)
+    out = [1 << u for u in _bits(nb)][: h.n - 1]
+    out.insert(centre, s)
+    return True, out, used
+
+
+def test_inline_star_walk_matches_generator_driven_star_search():
+    # (found, branch masks, expansions) of the inline star walk equal the
+    # generator-driven route's on the whole vertex set and on every
+    # component, for every b below the order; it runs with the
+    # reference's count as its budget and runs out one expansion below it
+    graphs = [g for n in range(2, 8) for g in enumerate_graphs(n)]
+    graphs += enumerate_graphs(8)[::25]
+    graphs += [petersen(), petersen_complement()]
+    graphs += [subdivided_clique(5, k) for k in range(7)]
+    searches = 0
+    for g in graphs:
+        for b in range(1, g.n):
+            h = complete_bipartite(1, b)
+            for within in {(1 << g.n) - 1, *g.component_masks()}:
+                expected = _reference_star_search(g, h, DEFAULT_BUDGET, within)
+                spent = expected[2]
+                assert _star_search(g, h, spent, within) == expected, (g.to_graph6(), b, within)
+                if spent:
+                    with pytest.raises(BudgetExhausted):
+                        _star_search(g, h, spent - 1, within)
+                searches += 1
+    assert searches == 15011
