@@ -21,12 +21,17 @@ Only the commands that solve spectra load numpy: the solver modules
 (extremal, spectral, verify) are imported inside lambda, search, verify
 and `construct extremal`, so --version, minor, a grammar construct and
 every usage error start with the pure-Python graphs and minors alone.
+The package's types are NamedTuples and slotted classes, so these
+commands do not import inspect either.  main() sets
+OPENBLAS_NUM_THREADS to 1 unless the caller set it, before any command
+can load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -482,6 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # one BLAS thread: the solves are small, and an idle OpenBLAS worker
+    # thread spins on a second CPU; a value the caller set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -27,7 +27,7 @@ import itertools
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import minors
 from .graphs import (
@@ -40,6 +40,7 @@ from .graphs import (
     CLAUSE_SUBDIVIDED,
     FamilyParams,
     Graph,
+    _Value,
     _twin_classes,
     complete_bipartite,
     extremal_family,
@@ -333,18 +334,17 @@ def enumerate_graphs(n: int, connected_only: bool = False):
     return [g for g in out if g.is_connected()] if connected_only else list(out)
 
 
-@dataclass(frozen=True)
-class InternalCorpus:
+class InternalCorpus(_Value):
     """The internal corpus of order n (connected graphs only when
     connected_only) as a value: survivors() filters it while generating
     it (_walk).  Its len is the pinned count of enumerate_graphs(n,
     connected_only)."""
 
-    n: int
-    connected_only: bool = False
+    __slots__ = ("n", "connected_only")
 
-    def __post_init__(self):
-        _check_order(self.n)
+    def __init__(self, n: int, connected_only: bool = False):
+        _check_order(n)
+        self._set(n, connected_only)
 
     def __len__(self) -> int:
         counts = CONNECTED_GRAPH_COUNTS if self.connected_only else GRAPH_COUNTS
@@ -379,8 +379,7 @@ CAVEAT_ORDER_TOO_SMALL = "order too small for the clause construction"
 CAVEAT_SMALL_B = "a = 1 clauses need b >= 3"
 
 
-@dataclass(frozen=True)
-class ExtremalPrediction:
+class ExtremalPrediction(NamedTuple):
     params: FamilyParams
     clause: str
     graph: Graph | None
@@ -468,8 +467,7 @@ def _forbidden_pairs(tag: str) -> tuple[tuple[int, int], ...]:
     return ab_pairs(*args)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     constraint: str
     corpus_source: str
     corpus_size: int

@@ -9,8 +9,8 @@ as small ones.  All mutating operations return new graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -39,8 +39,48 @@ def _twin_classes(rows, vertices):
     return classes
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """Immutable value semantics for a class that checks its fields when
+    built and lists them in __slots__: equal only to an instance of the
+    same class with equal fields, hashed on the fields, shown as
+    Name(field=value, ...), refusing attribute assignment, and pickled
+    as its field values."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return self._values(self)
+
+    def __setstate__(self, state):
+        self._set(*state)
+
+
+class Graph(_Value):
     """Immutable simple undirected graph.
 
     rows[v] is the neighbourhood bitmask of v.  labels, when present, are
@@ -49,9 +89,11 @@ class Graph:
     finds the F-block's path ends by their labels "v1" and "v3".
     """
 
-    n: int
-    rows: tuple[int, ...]
-    labels: tuple | None = None
+    __slots__ = ("n", "rows", "labels")
+
+    def __init__(self, n: int, rows: tuple[int, ...], labels: tuple | None = None):
+        self._set(n, rows, labels)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 0 or len(self.rows) != self.n:
@@ -375,28 +417,18 @@ def disjoint_union(parts: Iterable[Graph]) -> Graph:
 # family parameters and the named families
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(_Value):
     """Parameters (a, b, n) together with the derived decomposition
     n - a + 1 = k*b + t (0 <= t <= b-1), tau = floor((b+1)/(a+1)) and
     omega = min(a, floor((b+1)/2))."""
 
-    a: int
-    b: int
-    n: int
-    k: int = field(init=False)
-    t: int = field(init=False)
-    tau: int = field(init=False)
-    omega: int = field(init=False)
+    __slots__ = ("a", "b", "n", "k", "t", "tau", "omega")
 
-    def __post_init__(self):
-        if not 1 <= self.a <= self.b <= self.n:
+    def __init__(self, a: int, b: int, n: int):
+        if not 1 <= a <= b <= n:
             raise ValueError("need 1 <= a <= b <= n")
-        rem = self.n - self.a + 1
-        object.__setattr__(self, "k", rem // self.b)
-        object.__setattr__(self, "t", rem % self.b)
-        object.__setattr__(self, "tau", (self.b + 1) // (self.a + 1))
-        object.__setattr__(self, "omega", min(self.a, (self.b + 1) // 2))
+        rem = n - a + 1
+        self._set(a, b, n, rem // b, rem % b, (b + 1) // (a + 1), min(a, (b + 1) // 2))
 
 
 def star_forest(a: int, b: int) -> Graph:

@@ -45,7 +45,6 @@ every count as it is; tests/test_minors.py pins them with a digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -67,8 +66,7 @@ class BudgetExhausted(RuntimeError):
         self.graph6 = graph6
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(NamedTuple):
     verdict: str  # contains | free | budget
     branch_sets: tuple[tuple[int, ...], ...] | None  # indexed by H-vertex
     expansions: int
@@ -361,8 +359,7 @@ def ab_pairs(a: int, b: int) -> tuple[tuple[int, int], ...]:
     return tuple((r, b + 1 - r) for r in range(1, min(a, (b + 1) // 2) + 1))
 
 
-@dataclass(frozen=True)
-class AbPropertyReport:
+class AbPropertyReport(NamedTuple):
     checked_pairs: tuple[tuple[int, int], ...]
     verdicts: tuple[str, ...]  # "free" | "contains" | "budget" per pair
     overall: bool | None  # fold_verdicts: None when undecided

@@ -25,7 +25,7 @@ QuotientMatrix.rho refuses a partition that is not equitable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     return _alpha_matrices([g.rows], g.n, check_alpha(alpha))[0]
 
 
-@dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     """Largest alpha-matrix eigenvalue with its eigenvector.
 
     is_perron is True when the vector is the strictly positive Perron
@@ -163,8 +162,7 @@ def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
 # equitable partitions and quotient matrices
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuotientMatrix:
+class QuotientMatrix(NamedTuple):
     entries: tuple[tuple[float, ...], ...]  # class-by-class average row sums
     equitable: bool
     sizes: tuple[int, ...]
@@ -316,8 +314,7 @@ def xy_identity_check(g: Graph, h: Graph, alpha: float) -> float:
 # Perron-coordinate bounds around a dominating clique
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PerronStats:
+class PerronStats(NamedTuple):
     X_M: float
     X_m: float
     lower_ok: bool        # X_m >= (1-a) X_s / (lam - a|S|), up to the slack

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import extremal as ex
 from .graphs import (
@@ -68,8 +68,7 @@ def alpha_grid(b: int | None = None) -> tuple[float, ...]:
     return tuple(sorted(grid))
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     check_id: str
     scope: dict
     status: str  # pass | fail | inconclusive

@@ -411,12 +411,25 @@ def test_commands_leave_verify_and_multiprocessing_unloaded(argv, code):
     assert returncode == code
     assert "kabminor.verify" not in imported
     assert not any(m.split(".")[0] == "multiprocessing" for m in imported)
+    # the package's types are NamedTuples and slotted classes
+    assert "dataclasses" not in imported
     if argv[0] == "search":
         assert SOLVER_MODULES <= imported
     else:
-        # pure-Python commands and usage errors start without numpy
+        # pure-Python commands and usage errors start without numpy, and
+        # so without inspect
         assert {"kabminor.graphs", "kabminor.minors"} <= imported
         assert not any(m in SOLVER_MODULES or m.startswith("numpy.") for m in imported)
+        assert "inspect" not in imported
+
+
+def test_main_runs_blas_on_one_thread_unless_set(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert run(capsys, "--version")[0] == EXIT_OK
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert run(capsys, "--version")[0] == EXIT_OK
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def test_package_names_load_their_submodule_on_first_use():

@@ -1,6 +1,5 @@
 """Verification suites: statuses, margins, artifacts, reproducibility."""
 
-import dataclasses
 import json
 import types
 
@@ -187,8 +186,8 @@ def test_theorem_small_n_disagreement_asserted_without_caveat(monkeypatch):
     # but no maximizer: a caveat-free prediction fails with the search's
     # maximizers, a caveated one is reported and left inconclusive
     real = extremal.predict
-    monkeypatch.setattr(extremal, "predict", lambda a, b, n, alpha: dataclasses.replace(
-        real(a, b, n, alpha), graph=path_graph(n)))
+    monkeypatch.setattr(extremal, "predict", lambda a, b, n, alpha: real(
+        a, b, n, alpha)._replace(graph=path_graph(n)))
     for a, b, n, status in ((1, 3, 5, STATUS_FAIL), (2, 3, 6, STATUS_INCONCLUSIVE)):
         assert (real(a, b, n, 0.5).caveat == "") == (status == STATUS_FAIL)
         rep = extremal.search_max(extremal.enumerate_graphs(n, True), f"kab-minor-free:{a},{b}", 0.5)
