@@ -38,6 +38,7 @@ import sys
 from . import __version__
 from .graphs import (
     Graph,
+    check_alpha,
     clique_with_pendants,
     complete,
     complete_bipartite,
@@ -422,8 +423,13 @@ def _positive_int(text: str) -> int:
 
 
 def _alpha(text: str) -> float:
+    alpha = float(text)
+    try:
+        check_alpha(alpha)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     # + 0.0 turns -0.0 into 0.0, so `--alpha -0.0` echoes as `--alpha 0` does
-    return float(text) + 0.0
+    return alpha + 0.0
 
 
 _OPTIONS = {

@@ -3,12 +3,13 @@ rules that pick the conjectured/known maximizer family for given
 (a, b, n, alpha).
 
 Canonical forms use colour refinement with individualization and
-twin-pruned backtracking, exact for n <= 10.  The internal enumerator
-builds all graphs up to isomorphism for n <= 8 by vertex augmentation:
-the added vertex must have minimum degree in the child, one
-neighbourhood is tried per orbit of the parent's twin swaps, a child is
-searched only when the added vertex lies in the first cell of its
-stable partition, and the children are deduplicated by canonical form.
+twin-pruned backtracking, exact for n <= 10, and graphs._renumbered
+builds the canonically labelled copy.  The internal enumerator builds
+all graphs up to isomorphism for n <= 8 by vertex augmentation: the
+added vertex must have minimum degree in the child, one neighbourhood is
+tried per orbit of the parent's twin swaps, a child is searched only
+when the added vertex lies in the first cell of its stable partition,
+and the children are deduplicated by canonical form.
 That first cell is an isomorphism-invariant set of minimum-degree
 vertices, so deleting any of its vertices gives a parent that reaches
 the class (see _extend).
@@ -41,6 +42,7 @@ from .graphs import (
     FamilyParams,
     Graph,
     _Value,
+    _renumbered,
     _twin_classes,
     complete_bipartite,
     extremal_family,
@@ -168,25 +170,6 @@ def _canonical_search(rows, cells):
     return best[0], best[1]
 
 
-def _relabelled(rows, lab) -> Graph:
-    """The unlabelled graph with adjacency rows, relabelled so that lab[p]
-    sits at position p.  rows come from a valid graph, so the relabelled
-    rows are valid too and are not checked again."""
-    bit = [0] * len(lab)
-    for p, v in enumerate(lab):
-        bit[v] = 1 << p
-    out = []
-    for v in lab:
-        r = rows[v]
-        row = 0
-        while r:
-            low = r & -r
-            row |= bit[low.bit_length() - 1]
-            r ^= low
-        out.append(row)
-    return Graph._unchecked(len(lab), tuple(out))
-
-
 def canonical_form(g: Graph) -> bytes:
     """Byte string equal between two graphs iff they are isomorphic;
     exact for n <= 10."""
@@ -201,7 +184,7 @@ def canonical_graph(g: Graph) -> Graph:
     if g.n > CANONICAL_MAX_N:
         raise ValueError(f"canonical form supported only up to n = {CANONICAL_MAX_N}")
     _, lab = _canonical_search(g.rows, _stable_partition(g.rows))
-    return _relabelled(g.rows, lab)
+    return Graph._unchecked(g.n, _renumbered(g.rows, lab))
 
 
 # ---------------------------------------------------------------------
@@ -282,7 +265,7 @@ def _extend(parents, n: int, connected_only: bool = False, star: int | None = No
             if n - 1 in cells[0]:
                 code, lab = _canonical_search(rows, cells)
                 if code not in seen:
-                    seen[code] = _relabelled(rows, lab)
+                    seen[code] = Graph._unchecked(n, _renumbered(rows, lab))
     return [seen[c] for c in sorted(seen)]
 
 
@@ -619,11 +602,11 @@ def rank_survivors(passing, constraint: str, alpha: float, corpus_source: str,
         raise ValueError("no corpus graph satisfies the constraint")
     lams = spectral_radii(passing, alpha)
     lam_max = max(lams)
-    maximizers = sorted(
+    maximizers = sorted({
         canonical_graph(g).to_graph6()
         for g, lam in zip(passing, lams)
         if lam >= lam_max - LAMBDA_TIE_TOL
-    )
+    })
     pred_clause = pred_g6 = agrees = None
     if prediction is not None:
         pred_clause = prediction.clause

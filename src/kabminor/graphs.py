@@ -4,7 +4,8 @@ complements, subdivided cliques, the Petersen complement, ...).
 
 Vertices are 0..n-1.  Adjacency is stored as one Python int per vertex
 (bit j of rows[v] set iff v~j), so graphs above 64 vertices work the same
-as small ones.  All mutating operations return new graphs.
+as small ones.  All mutating operations return new graphs, and every
+vertex renumbering goes through one bit-table loop, _renumbered.
 """
 
 from __future__ import annotations
@@ -20,6 +21,32 @@ def _bits(x: int) -> Iterator[int]:
         b = x & -x
         yield b.bit_length() - 1
         x ^= b
+
+
+def _renumbered(rows, order) -> tuple[int, ...]:
+    """The rows of the graph induced on the distinct vertices order, with
+    vertex order[i] renumbered i: a vertex left out keeps bit 0 in the
+    table, so its edges drop.  Valid rows give valid rows."""
+    bit = [0] * len(rows)
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    out = []
+    for v in order:
+        r = rows[v]
+        row = 0
+        while r:
+            low = r & -r
+            row |= bit[low.bit_length() - 1]
+            r ^= low
+        out.append(row)
+    return tuple(out)
+
+
+def check_alpha(alpha: float) -> float:
+    """alpha as a float; ValueError unless 0 <= alpha < 1, so NaN too."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1); got {alpha}")
+    return float(alpha)
 
 
 def _twin_classes(rows, vertices):
@@ -188,18 +215,12 @@ class Graph(_Value):
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph, vertices renumbered in the given order."""
         verts = list(vertices)
-        pos = {v: i for i, v in enumerate(verts)}
-        if len(pos) != len(verts):
+        if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertices")
-        rows = [0] * len(verts)
-        for i, v in enumerate(verts):
+        for v in verts:
             self._check_vertex(v)
-            for u in _bits(self.rows[v]):
-                j = pos.get(u)
-                if j is not None:
-                    rows[i] |= 1 << j
         labels = tuple(self.labels[v] for v in verts) if self.labels else None
-        return Graph._unchecked(len(verts), tuple(rows), labels)
+        return Graph._unchecked(len(verts), _renumbered(self.rows, verts), labels)
 
     def induced_mask(self, mask: int) -> "Graph":
         return self.induced(list(_bits(mask)))
@@ -208,17 +229,7 @@ class Graph(_Value):
         """New graph with vertex v moved to position perm[v]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation")
-        rows = [0] * self.n
-        for v in range(self.n):
-            for u in _bits(self.rows[v]):
-                rows[perm[v]] |= 1 << perm[u]
-        labels = None
-        if self.labels:
-            lab = [None] * self.n
-            for v in range(self.n):
-                lab[perm[v]] = self.labels[v]
-            labels = tuple(lab)
-        return Graph._unchecked(self.n, tuple(rows), labels)
+        return self.induced(sorted(range(self.n), key=lambda v: perm[v]))
 
     # -- edit operations (all return new graphs) -----------------------
 
@@ -304,10 +315,8 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(chars)
 
 
-def graph6_order(s: str) -> int:
-    """The order of a graph6 record, read from its header without
-    decoding any of its rows."""
-    s = s.strip()
+def _graph6_header(s: str) -> tuple[int, int]:
+    """(order, body start) of a stripped graph6 record."""
     if not s:
         raise ValueError("empty graph6 record")
     # the order digits: 1 byte, '~' and 3 (orders 63..258047), or '~~' and 6
@@ -320,13 +329,19 @@ def graph6_order(s: str) -> int:
     n = 0
     for ch in s[start:end]:
         n = n << 6 | (ord(ch) - 63)
-    return n
+    return n, end
+
+
+def graph6_order(s: str) -> int:
+    """The order of a graph6 record, read from its header without
+    decoding any of its rows."""
+    return _graph6_header(s.strip())[0]
 
 
 def from_graph6(s: str) -> Graph:
-    n = graph6_order(s)
     s = s.strip()
-    body = s[8 if s[:2] == "~~" else 4 if s[0] == "~" else 1:]
+    n, start = _graph6_header(s)
+    body = s[start:]
     for ch in body:
         if not 63 <= ord(ch) <= 126:
             raise ValueError(f"character {ch!r} out of graph6 range")

@@ -29,17 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _renumbered, check_alpha
 
 #: numerical contract, fixed so reports are comparable across runs
 RESIDUAL_TOL = 1e-10
 LAMBDA_TIE_TOL = 1e-9
-
-
-def check_alpha(alpha: float) -> float:
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1); got {alpha}")
-    return float(alpha)
 
 
 def _alpha_matrices(row_lists, n: int, alpha: float) -> np.ndarray:
@@ -110,13 +104,13 @@ def _solve(graphs, alpha: float):
             raise ValueError("spectral radius of the empty graph is undefined")
         masks = g.component_masks()
         comps = [c for c in masks if c & (c - 1)] or masks[:1]  # those with an edge, else vertex 0
-        parts = [(g, None)] if len(masks) == 1 else [
-            (g.induced(verts), verts) for verts in (list(_bits(c)) for c in comps)]
+        parts = [(g.rows, None)] if len(masks) == 1 else [
+            (_renumbered(g.rows, verts), verts) for verts in (list(_bits(c)) for c in comps)]
         entry = []
-        for h, verts in parts:
-            stack = stacks.setdefault(h.n, [])
-            entry.append((h.n, len(stack), verts))
-            stack.append(h.rows)
+        for rows, verts in parts:
+            stack = stacks.setdefault(len(rows), [])
+            entry.append((len(rows), len(stack), verts))
+            stack.append(rows)
         layout.append(entry)
     solved = {n: _top_eigenpairs(rows, n, alpha) for n, rows in stacks.items()}
     winners = []

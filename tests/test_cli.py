@@ -199,6 +199,30 @@ def test_negative_zero_alpha_prints_as_zero(capsys, argv):
     assert '"alpha": 0.0' in outs[0] and "-0.0" not in outs[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "K:5"),
+    ("lambda", "K:3"),
+    ("search", "--n", "5", "--constraint", "star-minor-free:3"),
+])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5", "1"])
+def test_alpha_outside_unit_interval_is_usage_error(capsys, argv, alpha):
+    # a NaN alpha would echo as `"alpha": NaN`, which is not JSON
+    code, out, err = run(capsys, *argv, "--alpha", alpha, "--format", "json")
+    assert code == EXIT_USAGE and out == ""
+    assert "--alpha" in err
+
+
+def test_corpus_isomorphs_give_one_maximizer(capsys, tmp_path):
+    f = tmp_path / "c.g6"
+    c8 = cycle(8)
+    f.write_text(c8.to_graph6() + "\n" + c8.relabel([3, 0, 6, 1, 7, 2, 5, 4]).to_graph6() + "\n")
+    code, out, _ = run(capsys, "search", "--constraint", "star-minor-free:3",
+                       "--corpus", str(f), "--format", "json")
+    data = json.loads(out)
+    assert code == EXIT_OK and data["survivors"] == 2
+    assert data["maximizers"] == ["G?LTE?"]
+
+
 def test_minor_exit_codes(capsys):
     # free -> 0
     code, out, _ = run(capsys, "minor", "C:6", "K_{1,3}", "--format", "json")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kabminor.graphs import (
     FamilyParams,
     Graph,
+    _bits,
     clique_with_pendants,
     complete,
     complete_bipartite,
@@ -349,3 +350,94 @@ def test_derived_graphs_equal_validated_constructions():
         assert g.induced_mask(sum(1 << v for v in verts)) == sub.relabel(list(range(len(verts)))[::-1])
         for h in (g.complement(), g.relabel(perm), g.induced(verts)):
             assert Graph(h.n, h.rows, h.labels) == h
+
+
+# The three renumbering loops that Graph.induced, Graph.relabel and
+# extremal's canonical labelling ran before they shared
+# graphs._renumbered, kept verbatim as references.
+
+def _reference_induced(g, vertices):
+    verts = list(vertices)
+    pos = {v: i for i, v in enumerate(verts)}
+    if len(pos) != len(verts):
+        raise ValueError("duplicate vertices")
+    rows = [0] * len(verts)
+    for i, v in enumerate(verts):
+        g._check_vertex(v)
+        for u in _bits(g.rows[v]):
+            j = pos.get(u)
+            if j is not None:
+                rows[i] |= 1 << j
+    labels = tuple(g.labels[v] for v in verts) if g.labels else None
+    return Graph._unchecked(len(verts), tuple(rows), labels)
+
+
+def _reference_relabel(g, perm):
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("not a permutation")
+    rows = [0] * g.n
+    for v in range(g.n):
+        for u in _bits(g.rows[v]):
+            rows[perm[v]] |= 1 << perm[u]
+    labels = None
+    if g.labels:
+        lab = [None] * g.n
+        for v in range(g.n):
+            lab[perm[v]] = g.labels[v]
+        labels = tuple(lab)
+    return Graph._unchecked(g.n, tuple(rows), labels)
+
+
+def _reference_relabelled(rows, lab):
+    bit = [0] * len(lab)
+    for p, v in enumerate(lab):
+        bit[v] = 1 << p
+    out = []
+    for v in lab:
+        r = rows[v]
+        row = 0
+        while r:
+            low = r & -r
+            row |= bit[low.bit_length() - 1]
+            r ^= low
+        out.append(row)
+    return Graph._unchecked(len(lab), tuple(out))
+
+
+def test_renumbering_matches_the_loops_it_replaced():
+    from kabminor.extremal import (_canonical_search, _stable_partition, canonical_graph,
+                                   enumerate_graphs)
+
+    corpus = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    assert len(corpus) == 1252
+    labelled = [subdivided_clique(5, 3), subdivided_clique(3, 1), f_graph(1, 2, 1),
+                f_graph(0, 3, 2), star(4), join(complete(1), star(2))]
+    rng = random.Random(1998)
+    for g in corpus + labelled:
+        for _ in range(4):
+            verts = rng.sample(range(g.n), rng.randint(0, g.n))
+            assert g.induced(verts) == _reference_induced(g, verts)
+            assert g.induced_mask(sum(1 << v for v in verts)) == _reference_induced(g, sorted(verts))
+            perm = rng.sample(range(g.n), g.n)
+            assert g.relabel(perm) == _reference_relabel(g, perm)
+        _, lab = _canonical_search(g.rows, _stable_partition(g.rows))
+        assert canonical_graph(g) == _reference_relabelled(g.rows, lab)
+
+
+def test_renumbering_errors_are_unchanged():
+    g = f_graph(1, 2, 1)  # order 7
+    for verts, message in (([0, 2, 0], "duplicate vertices"),
+                           ([1, 9, 9], "duplicate vertices"),
+                           ([7], "vertex 7 out of range for order 7"),
+                           ([2, -1, 1], "vertex -1 out of range for order 7"),
+                           ([0, 8, -3], "vertex 8 out of range for order 7")):
+        for induce in (g.induced, lambda vs: _reference_induced(g, vs)):
+            with pytest.raises(ValueError) as exc:
+                induce(verts)
+            assert str(exc.value) == message
+    for perm in ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5, 5], [1, 2, 3, 4, 5, 6, 7],
+                 [-1, 0, 1, 2, 3, 4, 5], []):
+        for relabel in (g.relabel, lambda p: _reference_relabel(g, p)):
+            with pytest.raises(ValueError) as exc:
+                relabel(perm)
+            assert str(exc.value) == "not a permutation"
