@@ -27,8 +27,7 @@ _EXPORTS = {
     ),
     "minors": (
         "AbPropertyReport", "MinorWitness", "ab_property",
-        "ab_property_complement_criterion", "find_clique_dominating_set",
-        "has_minor", "minor_free_given_apex", "star_minor_free",
+        "ab_property_complement_criterion", "has_minor", "star_minor_free",
     ),
     "extremal": (
         "ExtremalPrediction", "SearchReport", "canonical_form",

@@ -49,13 +49,12 @@ from .graphs import (
     from_graph6,
 )
 from .minors import (
+    VERDICT_BUDGET,
     VERDICT_CONTAINS,
     BudgetExhausted,
     ab_pairs,
-    find_clique_dominating_set,
     fold_verdicts,
     has_minor,
-    minor_free_given_apex,
     star_certificate,
 )
 from .spectral import LAMBDA_TIE_TOL, check_alpha, spectral_radii
@@ -397,10 +396,10 @@ def _select_clause(p: FamilyParams, alpha: float):
 
 def predict(a: int, b: int, n: int, alpha: float) -> ExtremalPrediction:
     """Pick the extremal construction clause for (a, b, n, alpha) and
-    build its graph.  The graph is re-verified K_{a,b}-minor free through
-    the dominating-clique reduction (S empty when a = 1) before being
-    reported; raises RuntimeError (BudgetExhausted) when that check runs
-    out of budget.  An empty caveat marks a clause asserted with no
+    build its graph, re-verified K_{a,b}-minor free by has_minor (whose
+    dominating-vertex rule peels the a - 1 apex vertices) before being
+    reported; raises BudgetExhausted naming the graph when that check
+    runs out of budget.  An empty caveat marks a clause asserted with no
     large-order or alpha-window condition."""
     check_alpha(alpha)
     p = FamilyParams(a, b, n)
@@ -408,8 +407,10 @@ def predict(a: int, b: int, n: int, alpha: float) -> ExtremalPrediction:
     if clause == CLAUSE_OUTSIDE:
         return ExtremalPrediction(p, clause, None, caveat)
     g = extremal_family(p, clause)
-    S = find_clique_dominating_set(g, a - 1)
-    if S is None or not minor_free_given_apex(g, S, a, b):
+    verdict = has_minor(g, complete_bipartite(a, b)).verdict
+    if verdict == VERDICT_BUDGET:
+        raise BudgetExhausted(f"minor-search budget exhausted on candidate {g.to_graph6()}", g.to_graph6())
+    if verdict == VERDICT_CONTAINS:
         raise AssertionError("predicted graph fails the minor-freeness check")
     return ExtremalPrediction(p, clause, g, caveat)
 

@@ -1,5 +1,5 @@
 """Minor containment with explicit branch-set witnesses, the star-minor
-fast path, the (a,b)-property, and dominating-clique reductions.
+fast path, and the (a,b)-property.
 
 A branch-set model of H inside G assigns each H-vertex a nonempty
 connected vertex subset of G, all pairwise disjoint, with a cross edge in
@@ -15,6 +15,14 @@ its verdicts with fold_verdicts: a found minor decides "not free" even
 when another pattern ran out of budget, and the budget verdict applies
 only when none was found.  The boolean checks raise BudgetExhausted, the
 one budget exception, which extremal.survivors makes name its candidate.
+
+Unless h is a star, has_minor first peels dominating vertices: with D
+the host's first dominating vertices (degree n - 1), at most h.n - 1,
+g has an h minor iff g - D has an h - X minor for some |D| vertices X
+of h, each of which then takes a singleton of D, a branch set that
+meets every other; every h - X tried spends from the one budget.  For
+K_{a,b} and the a - 1 apex vertices of the paper's joins, the h - X are
+the K_{r, b+1-r} of the (a,b)-property: the reduction of Zhai and Lin.
 
 The search breaks the symmetry of the pattern: twins of H (vertices
 whose rows are equal once their mutual bit is cleared, as in one side of
@@ -46,6 +54,7 @@ every count as it is; tests/test_minors.py pins them with a digest.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 from .graphs import Graph, _bits, _twin_classes, complete_bipartite
@@ -302,10 +311,32 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
     p = _pattern(h)
     if p.e > g.e:
         return MinorWitness(VERDICT_FREE, None, 0)
+    spent = 0
+    dom = [] if p.star else [v for v, r in enumerate(g.rows) if r.bit_count() == g.n - 1][: h.n - 1]
+    if dom:
+        # the dominating-vertex rule: g - dom against one h - X per vector
+        # of counts from h's twin classes, the first class taking the most
+        rest = [v for v in range(g.n) if v not in dom]
+        sub = g.induced(rest)
+        classes = _twin_classes(h.rows, p.order)
+        for counts in product(*(range(min(len(c), len(dom)), -1, -1) for c in classes)):
+            x = [v for c, k in zip(classes, counts) for v in c[:k]]
+            if len(x) != len(dom):
+                continue
+            keep = [v for v in range(h.n) if v not in x]
+            w = has_minor(sub, h.induced(keep), budget - spent)
+            spent += w.expansions
+            if w.verdict == VERDICT_CONTAINS:
+                sets = [(d,) for d in dom] + [tuple(rest[u] for u in bs) for bs in w.branch_sets]
+                w = MinorWitness(VERDICT_CONTAINS, tuple(bs for _, bs in sorted(zip(x + keep, sets))), spent)
+                if not validate_witness(g, h, w):
+                    raise AssertionError("search produced an invalid witness")
+            if w.verdict != VERDICT_FREE:
+                return w._replace(expansions=spent)
+        return MinorWitness(VERDICT_FREE, None, spent)
     # a connected pattern must live inside one component, searched in place
     parts = g.component_masks() if p.connected else [(1 << g.n) - 1]
     search = _star_search if p.star else _minor_search
-    spent = 0
     for mask in parts:
         if h.n > mask.bit_count() or 2 * p.e > sum((g.rows[v] & mask).bit_count() for v in _bits(mask)):
             continue
@@ -383,35 +414,3 @@ def ab_property_complement_criterion(g: Graph, a: int, b: int) -> bool:
     omega = len(ab_pairs(a, b))
     comp = g.complement()
     return all(m.bit_count() >= omega + 1 for m in comp.component_masks())
-
-
-def find_clique_dominating_set(g: Graph, size: int):
-    """First `size` vertices of full degree, or None if there are fewer.
-    Dominating vertices are pairwise adjacent automatically."""
-    if size < 0:
-        raise ValueError("size must be >= 0")
-    dom = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-    if len(dom) < size:
-        return None
-    return tuple(dom[:size])
-
-
-def minor_free_given_apex(g: Graph, S, a: int, b: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """K_{a,b}-minor freeness via the dominating-clique reduction: with S
-    a clique dominating set of size a-1, it is equivalent to the
-    (a,b)-property of g minus S.  For a = 1, S is empty and the check is
-    has_minor(g, K_{1,b}).  A pair found decides False; otherwise raises
-    BudgetExhausted when a pair runs out of budget."""
-    S = tuple(sorted(S))
-    if len(S) != a - 1:
-        raise ValueError("S must have size a-1")
-    for v in S:
-        if g.degree(v) != g.n - 1:
-            raise ValueError(f"vertex {v} is not dominating")
-    rest = [v for v in range(g.n) if v not in S]
-    if len(rest) != g.n - len(S):
-        raise ValueError("S has repeated vertices")
-    free = ab_property(g.induced(rest), a, b, budget).overall
-    if free is None:
-        raise BudgetExhausted(f"expansion budget {budget} exhausted")
-    return free

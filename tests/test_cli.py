@@ -109,10 +109,7 @@ def test_prediction_budget_exhaustion_exits_3(capsys, monkeypatch, argv):
 
     from kabminor import extremal, minors
 
-    monkeypatch.setattr(extremal, "star_minor_free",
-                        functools.partial(minors.star_minor_free, budget=10))
-    monkeypatch.setattr(extremal, "minor_free_given_apex",
-                        functools.partial(minors.minor_free_given_apex, budget=10))
+    monkeypatch.setattr(extremal, "has_minor", functools.partial(minors.has_minor, budget=10))
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == EXIT_BUDGET and out == ""
     assert err.startswith("error: ") and "budget" in err
@@ -465,8 +462,8 @@ def test_package_names_load_their_submodule_on_first_use():
         assert getattr(kabminor, module) is sub
         for name in names:
             assert getattr(kabminor, name) is getattr(sub, name)
-    # each of the package's 44 public names once
-    assert len(set(kabminor.__all__)) == len(kabminor.__all__) == 44
+    # each of the package's 42 public names once
+    assert len(set(kabminor.__all__)) == len(kabminor.__all__) == 42
     assert set(kabminor.__all__) <= set(dir(kabminor))
     with pytest.raises(AttributeError, match="'no_such_name'"):
         kabminor.no_such_name

@@ -1,4 +1,4 @@
-"""Minor containment, star fast path, (a,b)-property, apex reduction."""
+"""Minor containment, star fast path, (a,b)-property, dominating-vertex rule."""
 
 import hashlib
 
@@ -38,10 +38,8 @@ from kabminor.minors import (
     ab_pairs,
     ab_property,
     ab_property_complement_criterion,
-    find_clique_dominating_set,
     fold_verdicts,
     has_minor,
-    minor_free_given_apex,
     star_certificate,
     star_minor_free,
     validate_witness,
@@ -325,41 +323,104 @@ def test_complement_criterion_agreement_small():
         assert crit == direct, g.to_graph6()
 
 
-def test_find_clique_dominating_set():
-    g = join(complete(2), cycle(5))
-    assert find_clique_dominating_set(g, 2) == (0, 1)
-    assert find_clique_dominating_set(cycle(5), 1) is None
-    assert find_clique_dominating_set(cycle(5), 0) == ()
-    g = join(complete(1), disjoint_union([complete(3), complete(3), complete(1)]))
-    assert find_clique_dominating_set(g, 1) == (0,)
+def _direct_search(g, h):
+    """Whether has_minor's branch-set or star search finds h on its own,
+    component by component, with no dominating-vertex rule."""
+    p = minors._pattern(h)
+    search = _star_search if p.star else _minor_search
+    for mask in g.component_masks() if p.connected else [(1 << g.n) - 1]:
+        if h.n <= mask.bit_count() and search(g, h, DEFAULT_BUDGET, mask)[0]:
+            return True
+    return False
 
 
-def test_minor_free_given_apex():
+def test_dominating_vertex_rule_matches_direct_search():
+    # every host with a dominating vertex among the graphs of order <= 7
+    # and every 5th graph of order 8, against six K_{r,s} and, up to
+    # order 7, six other patterns; on any other host has_minor runs the
+    # direct search itself.  For K_{a,b} the paper's reduction is an
+    # oracle too: with a - 1 dominating vertices S, g is K_{a,b}-minor
+    # free iff g - S has the (a,b)-property
+    kab = [(2, 3), (2, 4), (3, 3), (3, 4), (2, 5), (1, 4)]
+    others = [complete(4), complete(5), cycle(5), path_graph(4),
+              from_edges(4, [(0, 1), (2, 3)]), join(complete(1), cycle(4))]
+    hosts = [g for n in range(1, 8) for g in enumerate_graphs(n)] + enumerate_graphs(8)[::5]
+    hosts = [g for g in hosts if g.n - 1 in g.degrees()]
+    pairs = 0
+    for g in hosts:
+        dom = [v for v in range(g.n) if g.degree(v) == g.n - 1]
+        verdicts = []
+        for h in [complete_bipartite(a, b) for a, b in kab] + (others if g.n <= 7 else []):
+            w = has_minor(g, h)
+            assert (w.verdict == VERDICT_CONTAINS) == _direct_search(g, h), (g.to_graph6(), h.rows)
+            assert w.verdict == VERDICT_FREE or validate_witness(g, h, w)
+            verdicts.append(w.verdict)
+        for (a, b), verdict in zip(kab, verdicts):
+            if len(dom) >= a - 1:
+                reduced = ab_property(g.induced([v for v in range(g.n) if v not in dom[:a - 1]]), a, b)
+                assert reduced.overall == (verdict == VERDICT_FREE), (g.to_graph6(), a, b)
+        pairs += len(verdicts)
+    assert pairs == 3_822
+
+
+def test_dominating_vertex_rule_cases(monkeypatch):
+    k24 = complete_bipartite(2, 4)
+    # as many dominating vertices as h has vertices: h.n - 1 of them are
+    # peeled, and the last vertex of h is a singleton of what is left
+    assert has_minor(complete(6), complete_bipartite(2, 3)) == MinorWitness(
+        VERDICT_CONTAINS, ((0,), (1,), (2,), (3,), (4,)), 1)
+    # one sub-problem per vector of counts from K_{3,3}'s two twin
+    # classes, not one per pair of its vertices
+    calls = []
+    real = minors.has_minor
+
+    def spy(g, h, budget=DEFAULT_BUDGET):
+        calls.append((g, h))
+        return real(g, h, budget)
+
+    monkeypatch.setattr(minors, "has_minor", spy)
+    assert spy(join(complete(2), path_graph(5)), complete_bipartite(3, 3)).verdict == VERDICT_FREE
+    assert calls[1:] == [(path_graph(5), complete_bipartite(*rs)) for rs in ((1, 3), (2, 2), (3, 1))]
+    monkeypatch.undo()
+    # the wheel K_1 + C_8 is free: C_8 has neither K_{1,4} nor K_{2,3};
+    # the budget runs out in the second sub-problem, and is spent whole
+    g = join(complete(1), cycle(8))
+    first = has_minor(cycle(8), star(4)).expansions
+    second = has_minor(cycle(8), complete_bipartite(2, 3)).expansions
+    assert has_minor(g, k24) == MinorWitness(VERDICT_FREE, None, first + second)
+    for budget in (first + 1, first + second - 1):
+        assert has_minor(g, k24, budget=budget) == MinorWitness(VERDICT_BUDGET, None, budget)
+    # a minor found in the second sub-problem: K_{2,3} under an apex,
+    # whose K_{1,4} sub-problem is free; the apex is the peeled leaf
+    g = join(complete(1), complete_bipartite(2, 3))
+    first = has_minor(complete_bipartite(2, 3), star(4)).expansions
+    second = has_minor(complete_bipartite(2, 3), complete_bipartite(2, 3)).expansions
+    w = has_minor(g, k24)
+    assert w.verdict == VERDICT_CONTAINS and w.expansions == first + second
+    assert w.branch_sets[2] == (0,) and validate_witness(g, k24, w)
+    # an apex over two triangles and a vertex is K_{2,3}-minor free; an
+    # apex over K_4 is K_5
     g = join(complete(1), disjoint_union([complete(3), complete(3), complete(1)]))
-    assert minor_free_given_apex(g, (0,), 2, 3)
     assert has_minor(g, complete_bipartite(2, 3)).verdict == VERDICT_FREE
-    h = join(complete(1), complete(4))
-    assert not minor_free_given_apex(h, (0,), 2, 3)
-    assert has_minor(h, complete_bipartite(2, 3)).verdict == VERDICT_CONTAINS
-    with pytest.raises(ValueError):
-        minor_free_given_apex(g, (1,), 2, 3)
-    # g minus the apex has a degree-8 vertex, a K_{1,4} minor, while the
-    # starved K_{2,3} search runs out: the found minor decides
+    assert has_minor(complete(5), complete_bipartite(2, 3)).verdict == VERDICT_CONTAINS
+
+
+def test_budget_folds_with_dominating_vertices():
+    # under two apexes both K_{2,4} centres are peeled first, and the four
+    # leaves are singletons of C_8: found at four expansions, where the
+    # direct search takes six.  The (a,b)-property of the host minus one
+    # apex folds its found K_{1,4} over its starved K_{2,3}
     g = join(complete(1), join(complete(1), cycle(8)))
-    assert minor_free_given_apex(g, (0,), 2, 4, budget=3) is False
-    with pytest.raises(BudgetExhausted):
-        minor_free_given_apex(join(complete(1), from_graph6("DFw")), (0,), 2, 4, budget=10)
-
-
-def test_apex_route_agrees_with_generic_enumerated():
-    # every connected 6-vertex graph with a dominating vertex
-    for g in enumerate_graphs(6, connected_only=True):
-        S = find_clique_dominating_set(g, 1)
-        if S is None:
-            continue
-        apex = minor_free_given_apex(g, S, 2, 4)
-        generic = has_minor(g, complete_bipartite(2, 4)).verdict == VERDICT_FREE
-        assert apex == generic, g.to_graph6()
+    k24 = complete_bipartite(2, 4)
+    assert has_minor(g, k24, budget=4).verdict == VERDICT_CONTAINS
+    assert _minor_search(g, k24, DEFAULT_BUDGET, (1 << g.n) - 1)[2] == 6
+    rep = ab_property(g.induced(range(1, g.n)), 2, 4, budget=3)
+    assert rep.verdicts == (VERDICT_CONTAINS, VERDICT_BUDGET) and rep.overall is False
+    # DFw under an apex runs out in its K_{2,3} sub-problem at budget 10,
+    # and contains K_{2,4} given enough
+    g = join(complete(1), from_graph6("DFw"))
+    assert has_minor(g, k24, budget=10) == MinorWitness(VERDICT_BUDGET, None, 10)
+    assert has_minor(g, k24).verdict == VERDICT_CONTAINS
 
 
 def test_minor_monotone_under_subgraphs():
@@ -513,7 +574,7 @@ def test_search_tree_digest_matches_reference():
         w = has_minor(g, complete_bipartite(r, s))
         lines.append(f"{g.to_graph6()} K_{{{r},{s}}} {w.verdict} {w.expansions} {w.branch_sets}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "889dc61557ba065a69eb0e93808d20902473b4e919eb7875d4569e3ab3857b83"
+    assert digest == "93bcc0aba0ed0086316e9f4bb97630ddda55362fd9b28fb249b36c02846c1337"
     # the budget fires on the expansion past the count, not before
     g = petersen_complement()
     for r, s in ((2, 6), (2, 7)):
