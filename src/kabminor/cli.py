@@ -25,11 +25,21 @@ The package's types are NamedTuples and slotted classes, so these
 commands do not import inspect either.  main() sets
 OPENBLAS_NUM_THREADS to 1 unless the caller set it, before any command
 can load numpy.
+
+Called with no argument list, as the process entry point (the kabminor
+console script and `python -m kabminor.cli`), main() calls gc.freeze()
+as its last act, on every return path.  Everything alive then dies with
+the process, so the interpreter's closing garbage collections, which
+would walk the tens of thousands of objects numpy and the package leave
+behind, skip it; the exit still flushes output and runs atexit handlers.
+main([...]), as the tests and library callers use it, leaves the
+collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -235,6 +245,8 @@ def _load_graph(text: str) -> Graph:
     try:
         return parse_family_spec(text)
     except SpecError:
+        if ":" in text or "(" in text:
+            raise  # graph6 never holds these (see _capped): keep the reason
         try:
             return _read_graph6(text)
         except OrderError:
@@ -492,10 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    # one BLAS thread: the solves are small, and an idle OpenBLAS worker
-    # thread spins on a second CPU; a value the caller set is kept
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+def _run(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -509,6 +518,19 @@ def main(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+
+
+def main(argv=None) -> int:
+    # one BLAS thread: the solves are small, and an idle OpenBLAS worker
+    # thread spins on a second CPU; a value the caller set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        return _run(argv)
+    finally:
+        if argv is None:
+            # the process entry point: what is alive now dies with the
+            # process, so its closing collections would only walk it
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ order makes survivors() raise BudgetExhausted.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import os
 from contextlib import contextmanager
@@ -42,6 +41,7 @@ from .graphs import (
     FamilyParams,
     Graph,
     _Value,
+    _bits,
     _renumbered,
     _twin_classes,
     complete_bipartite,
@@ -190,33 +190,55 @@ def canonical_graph(g: Graph) -> Graph:
 # enumeration
 # ---------------------------------------------------------------------
 
-def _augmentation_masks(g: Graph):
+def _augmentation_masks(g: Graph, star: int | None = None):
     """Neighbourhood masks for a vertex added to g that has minimum degree
     in the child, one mask per orbit of the twin swaps of g: inside each
     twin class the mask's bits form a prefix of the class.
 
     With delta the minimum degree of g, a mask of k bits qualifies iff
     k <= delta, or k = delta + 1 and it covers every vertex of degree
-    delta."""
+    delta.  The prefixes are combined class by class, never past
+    delta + 1 bits, in the order of their product.
+
+    With star, only the masks whose child has no K_{1,star} certificate
+    (minors.star_certificate) are given, and none when g has one: no
+    degree and no edge's count of other neighbours falls when a vertex is
+    added.  When g has none, the added vertex x raises by one the degree
+    of each vertex of the mask and the count of each edge with an end in
+    it, so the mask holds no hot vertex: one of degree star - 1, or an
+    end of an edge whose ends have star - 1 other neighbours
+    (minors._star_certificate_ends at star - 1).  Twin swaps keep
+    hotness, so hot classes are skipped whole.  Left to test are x's
+    degree, at most star - 1, and each edge ux of the mask, whose ends
+    have the other neighbours N(u) | mask minus u."""
+    rows = g.rows
     degs = g.degrees()
     delta = min(degs)
     low = 0
     for v, d in enumerate(degs):
         if d == delta:
             low |= 1 << v
-    prefixes = []
-    for cls in _twin_classes(g.rows, range(g.n)):
+    limit = delta + 1
+    hot = 0
+    if star is not None:
+        if star_certificate(rows, star):
+            return
+        limit = min(limit, star - 1)
+        hot = minors._star_certificate_ends(rows, star - 1)
+    masks = [(0, 0)]
+    for cls in _twin_classes(rows, range(g.n)):
+        if hot >> cls[0] & 1:
+            continue
+        options = [(0, 0)]
         acc = 0
-        options = [0]
-        for v in cls:
+        for k, v in enumerate(cls[:limit], 1):
             acc |= 1 << v
-            options.append(acc)
-        prefixes.append(options)
-    for parts in itertools.product(*prefixes):
-        mask = sum(parts)
-        k = mask.bit_count()
-        if k <= delta or (k == delta + 1 and mask & low == low):
-            yield mask
+            options.append((acc, k))
+        masks = [(m | p, k + j) for m, k in masks for p, j in options if k + j <= limit]
+    for mask, k in masks:
+        if k <= delta or mask & low == low:
+            if star is None or all((rows[u] | mask).bit_count() <= star for u in _bits(mask)):
+                yield mask
 
 
 def _check_order(n: int):
@@ -237,12 +259,13 @@ def _extend(parents, n: int, connected_only: bool = False, star: int | None = No
     component of the parent is skipped before any refinement: its child
     is disconnected, and every connected child comes from masks that meet
     every component, so the result is the unpruned one filtered.  With
-    star, a child with a vertex of degree >= star, or with an edge whose
-    ends have >= star other neighbours together, is skipped before any
-    refinement too.  It has a K_{1,star} minor, and having a certificate
-    does not depend on the labelling, so again the result is the unpruned
-    one filtered.  A child is kept only when n - 1 lies in the first cell
-    of its stable partition (_stable_partition).  That cell is a nonempty
+    star, no child with a vertex of degree >= star, or with an edge whose
+    ends have >= star other neighbours together, is built: the masks that
+    give one are never generated (_augmentation_masks).  Such a child has
+    a K_{1,star} minor, and having a certificate does not depend on the
+    labelling, so again the result is the unpruned one filtered.  A child
+    is kept only when n - 1 lies in the first cell of its stable
+    partition (_stable_partition).  That cell is a nonempty
     isomorphism-invariant set of minimum-degree vertices, so a graph G of
     order n is reached whenever parents holds G - v for some (hence every)
     vertex v of its first cell, up to isomorphism: the child that restores
@@ -254,12 +277,10 @@ def _extend(parents, n: int, connected_only: bool = False, star: int | None = No
     seen: dict[bytes, Graph] = {}
     for g in parents:
         components = g.component_masks() if connected_only else ()
-        for mask in _augmentation_masks(g):
+        for mask in _augmentation_masks(g, star):
             if any(not mask & c for c in components):
                 continue
             rows = tuple(r | (mask >> v & 1) << (n - 1) for v, r in enumerate(g.rows)) + (mask,)
-            if star is not None and star_certificate(rows, star):
-                continue
             cells = _stable_partition(rows)
             if n - 1 in cells[0]:
                 code, lab = _canonical_search(rows, cells)
@@ -282,13 +303,13 @@ def _walk(n: int, pairs, budget: int, pmap, connected_only: bool):
     at order n alone, where _extend skips the augmentations that give a
     disconnected child.  When a (1, s) pair forbids a K_{1,s} minor
     (star-minor-free:s, kab-minor-free:1,s, and the r = 1 pair of
-    ab-property:a,s), _extend also drops, at every order and before any
-    refinement, each child with an O(n + e) certificate of that minor
-    (minors.star_certificate), which fails the constraint.  The undecided
-    graphs of the last level are thus an ordered subset of the list's: a
-    graph whose own check would run out of budget is not reached when a
-    parent failed or it has a certificate.  With no pair every graph
-    passes, and the last level is the enumeration."""
+    ab-property:a,s), _extend also never builds, at any order, a child
+    with an O(n + e) certificate of that minor (minors.star_certificate),
+    which fails the constraint.  The undecided graphs of the last level
+    are thus an ordered subset of the list's: a graph whose own check
+    would run out of budget is not reached when a parent failed or it has
+    a certificate.  With no pair every graph passes, and the last level
+    is the enumeration."""
     star = next((s for r, s in pairs if r == 1), None)
     check = functools.partial(_verdicts, pairs=pairs, budget=budget)
     kept = None

@@ -218,22 +218,30 @@ def _minor_search(g: Graph, h: Graph, budget: int, within: int):
     return True, out, count
 
 
+def _star_certificate_ends(rows, s: int) -> int:
+    """The mask of the vertices of degree >= s and of the ends of each
+    edge uv with |N(u) | N(v) minus {u, v}| >= s, in the graph with
+    adjacency rows, in O(n + e)."""
+    ends = 0
+    for v, r in enumerate(rows):
+        if r.bit_count() >= s:
+            ends |= 1 << v
+        above = r >> v + 1 << v + 1
+        while above:
+            low = above & -above
+            above ^= low
+            if ((r | rows[low.bit_length() - 1]) & ~(low | 1 << v)).bit_count() >= s:
+                ends |= low | 1 << v
+    return ends
+
+
 def star_certificate(rows, s: int) -> bool:
     """Whether the graph with adjacency rows shows a K_{1,s} minor in
     O(n + e): a vertex of degree >= s, or an edge uv with
     |N(u) | N(v) minus {u, v}| >= s.  These are the |S| <= 2 sets of
     _star_search's boundary criterion, so True implies the minor; False
     decides nothing."""
-    for v, r in enumerate(rows):
-        if r.bit_count() >= s:
-            return True
-        above = r >> v + 1 << v + 1
-        while above:
-            low = above & -above
-            above ^= low
-            if ((r | rows[low.bit_length() - 1]) & ~(low | 1 << v)).bit_count() >= s:
-                return True
-    return False
+    return _star_certificate_ends(rows, s) != 0
 
 
 def _is_star(h: Graph) -> bool:

@@ -1,6 +1,7 @@
 """CLI surface: grammar, subcommands, exit codes, output formats."""
 
 import argparse
+import gc
 import hashlib
 import importlib
 import itertools
@@ -476,6 +477,59 @@ def test_usage_exit_codes(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
     assert run(capsys, "minor", "petersen", "K_{-1,3}", "--format", "json")[0] == EXIT_USAGE
     assert run(capsys, "--version")[0] == 0
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("lambda", "join(K:2)"), "join needs at least two arguments"),
+    (("lambda", "K:"), "expected an integer at position 2"),
+    (("minor", "union(K:2,Q:3)", "K_{2,3}"), "unknown family 'Q'"),
+])
+def test_spec_errors_keep_the_grammar_reason(capsys, argv, reason):
+    # text holding ':' or '(' is no graph6, so the parser's reason is the
+    # error, as construct prints it for the same text
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {reason}\n")
+    assert run(capsys, "construct", argv[1]) == (EXIT_USAGE, "", f"error: {reason}\n")
+
+
+# one command for each exit code: 0, 1, 2 and 3
+EXIT_CASES = [
+    pytest.param(["search", "--n", "6", "--constraint", "star-minor-free:4", "--format", "json"],
+                 EXIT_OK, id="search"),
+    pytest.param(["minor", "petersen-complement", "K_{2,6}"], EXIT_FAIL, id="minor-contains"),
+    pytest.param(["search", "--n", "6"], EXIT_USAGE, id="usage"),
+    pytest.param(["search", "--n", "6", "--constraint", "star-minor-free:4", "--budget", "3",
+                  "--format", "json"], EXIT_BUDGET, id="starved"),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CASES + [
+    pytest.param(["--version"], EXIT_OK, id="version"),
+    pytest.param(["--help"], EXIT_OK, id="help"),
+])
+def test_only_the_process_entry_point_freezes_the_collector(capsys, monkeypatch, argv, code):
+    # main([...]) keeps the caller's collector; main() with no argv, as
+    # the console script and `python -m kabminor.cli` call it, freezes
+    # on its way out
+    before = gc.get_freeze_count()
+    assert run(capsys, *argv)[0] == code
+    assert gc.get_freeze_count() == before
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(gc.get_freeze_count()))
+    monkeypatch.setattr(sys, "argv", ["kabminor", *argv])
+    assert main() == code
+    assert frozen == [before]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CASES)
+def test_fresh_process_prints_what_main_prints(capsys, monkeypatch, argv, code):
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = run(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(kabminor.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "kabminor.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+    assert expected[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected[1].encode(), expected[2].encode())
 
 
 def test_table_format_default(capsys):

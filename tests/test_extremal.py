@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from kabminor import extremal, minors
-from kabminor.minors import BudgetExhausted
+from kabminor.minors import BudgetExhausted, star_certificate
 from kabminor.extremal import (
     CAVEAT_SMALL_B,
     CONNECTED_GRAPH_COUNTS,
     GRAPH_COUNTS,
     CANONICAL_MAX_N,
     InternalCorpus,
+    _canonical_search,
     _extend,
     _filter,
     _refine,
@@ -47,6 +48,7 @@ from kabminor.graphs import (
     from_edges,
     from_graph6,
     Graph,
+    _renumbered,
     _twin_classes,
     join,
     path_graph,
@@ -495,6 +497,85 @@ def test_walk_skips_star_certificates_before_canonical_search(monkeypatch):
                         lambda rows, cells: calls.append(1) or search(rows, cells))
     assert len(survivors(InternalCorpus(8, True), "star-minor-free:5")) == 343
     assert len(calls) == 1279
+
+
+def _reference_augmentation_masks(g: Graph):
+    """extremal._augmentation_masks before it built its masks as bounded
+    prefixes and learned the star test, kept verbatim as the reference:
+    the product of every class's prefixes, filtered."""
+    degs = g.degrees()
+    delta = min(degs)
+    low = 0
+    for v, d in enumerate(degs):
+        if d == delta:
+            low |= 1 << v
+    prefixes = []
+    for cls in _twin_classes(g.rows, range(g.n)):
+        acc = 0
+        options = [0]
+        for v in cls:
+            acc |= 1 << v
+            options.append(acc)
+        prefixes.append(options)
+    for parts in itertools.product(*prefixes):
+        mask = sum(parts)
+        k = mask.bit_count()
+        if k <= delta or (k == delta + 1 and mask & low == low):
+            yield mask
+
+
+def _reference_extend(parents, n: int, connected_only: bool = False, star: int | None = None) -> list[Graph]:
+    """extremal._extend before its masks skipped the children with a
+    K_{1,star} certificate, kept verbatim as the reference: it builds
+    each child and tests it with minors.star_certificate."""
+    seen: dict[bytes, Graph] = {}
+    for g in parents:
+        components = g.component_masks() if connected_only else ()
+        for mask in _reference_augmentation_masks(g):
+            if any(not mask & c for c in components):
+                continue
+            rows = tuple(r | (mask >> v & 1) << (n - 1) for v, r in enumerate(g.rows)) + (mask,)
+            if star is not None and star_certificate(rows, star):
+                continue
+            cells = _stable_partition(rows)
+            if n - 1 in cells[0]:
+                code, lab = _canonical_search(rows, cells)
+                if code not in seen:
+                    seen[code] = Graph._unchecked(n, _renumbered(rows, lab))
+    return [seen[c] for c in sorted(seen)]
+
+
+def test_admissible_masks_are_the_filtered_product():
+    # every graph of order <= 7 is a parent some walk to order <= 8 may
+    # extend: the masks built directly are, in order, those of the
+    # filtered product whose child has no K_{1,star} certificate
+    for g in (g for n in range(1, 8) for g in enumerate_graphs(n)):
+        n = g.n + 1
+        product = list(_reference_augmentation_masks(g))
+        assert list(extremal._augmentation_masks(g)) == product
+        for star in range(1, 9):
+            kept = [mask for mask in product if not star_certificate(
+                tuple(r | (mask >> v & 1) << (n - 1) for v, r in enumerate(g.rows)) + (mask,), star)]
+            assert list(extremal._augmentation_masks(g, star)) == kept, (g.to_graph6(), star)
+
+
+# order 8 of star-minor-free:7 and :8 is nearly the whole enumeration,
+# which the mask test above covers; their walks are compared to order 7
+@pytest.mark.parametrize("constraint, n", [(f"star-minor-free:{b}", 8) for b in range(1, 7)] + [
+    ("star-minor-free:7", 7), ("star-minor-free:8", 7), ("kab-minor-free:1,4", 8),
+    ("kab-minor-free:1,8", 7), ("ab-property:2,4", 8), ("ab-property:3,5", 8)])
+def test_walk_extension_matches_reference(constraint, n):
+    # each level of the walk is the reference extension of the kept
+    # graphs below it, for both connected_only settings at the last order
+    pairs = extremal._forbidden_pairs(constraint)
+    star = next(s for r, s in pairs if r == 1)
+    kept = [Graph(1, (0,))]
+    for m in range(2, n + 1):
+        for connected in (False, True) if m == n else (False,):
+            level = _extend(kept, m, connected_only=connected, star=star)
+            assert level == _reference_extend(kept, m, connected_only=connected, star=star), (m, connected)
+        verdicts = extremal._verdicts(level, pairs, minors.DEFAULT_BUDGET)
+        kept = [g for g, v in zip(level, verdicts) if v is not False]
 
 
 @pytest.mark.parametrize("budget", [1, 3, 50])
