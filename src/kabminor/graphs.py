@@ -207,6 +207,73 @@ class Graph(_Value):
             out.append(comp)
         return out
 
+    def block_masks(self, within: int | None = None) -> list[int]:
+        """Vertex bitmasks of the blocks of the subgraph induced on the
+        vertex mask within (default: every vertex): its maximal 2-connected
+        subgraphs and its bridges, so two blocks share at most one vertex,
+        a cut vertex.  An isolated vertex lies in none.  Components go by
+        smallest vertex, and the blocks of one in the order a depth-first
+        search from that vertex closes them.
+
+        Hopcroft-Tarjan in O(n + e) row operations, its depth-first search
+        on an explicit stack, so no order reaches the recursion limit.  The
+        visited neighbours of a vertex just reached are all its ancestors,
+        so its low point starts at the smallest of their numbers."""
+        rows = self.rows
+        within = (1 << self.n) - 1 if within is None else within
+        num = [0] * self.n
+        low = [0] * self.n
+        seen = count = 0
+        out = []
+        rest = within
+        while rest:
+            root = (rest & -rest).bit_length() - 1
+            count += 1
+            num[root] = low[root] = count
+            seen |= 1 << root
+            path = [root]  # vertices reached and not yet closed in a block
+            stack = [root]
+            todo = [rows[root] & within]  # per stacked vertex, neighbours left to try
+            while stack:
+                t = todo[-1] & ~seen
+                if t:
+                    w = t & -t
+                    todo[-1] = t ^ w
+                    u = w.bit_length() - 1
+                    count += 1
+                    num[u] = count
+                    least = count
+                    back = rows[u] & seen
+                    while back:
+                        b = back & -back
+                        back ^= b
+                        k = num[b.bit_length() - 1]
+                        if k < least:
+                            least = k
+                    low[u] = least
+                    seen |= w
+                    path.append(u)
+                    stack.append(u)
+                    todo.append(rows[u] & within)
+                    continue
+                v = stack.pop()
+                todo.pop()
+                if not stack:
+                    break
+                p = stack[-1]
+                if low[v] >= num[p]:  # p cuts v's subtree off: close a block
+                    block = 1 << p
+                    while True:
+                        x = path.pop()
+                        block |= 1 << x
+                        if x == v:
+                            break
+                    out.append(block)
+                elif low[v] < low[p]:
+                    low[p] = low[v]
+            rest &= ~seen
+        return out
+
     def is_connected(self) -> bool:
         if self.n == 0:
             return True

@@ -23,6 +23,22 @@ of h, each of which then takes a singleton of D, a branch set that
 meets every other; every h - X tried spends from the one budget.  For
 K_{a,b} and the a - 1 apex vertices of the paper's joins, the h - X are
 the K_{r, b+1-r} of the (a,b)-property: the reduction of Zhai and Lin.
+When h is K_{r,s}, an h - X that is the mirror K_{j,i} of a K_{i,j}
+already tried, the same graph, is skipped.
+
+A 2-connected pattern other than a star (K_{a,b} with 2 <= a <= b among
+them) is searched block by block, since every model of it lies inside
+one block of g.  Take a cut vertex c of g and a model of h.  Branch sets
+that miss c and are adjacent in h meet along an edge that misses c, and
+h minus one vertex is connected, so all branch sets that miss c lie in
+one component C of g - c.  The branch set that holds c, cut down to C
+and c, stays connected (a path from C to c reaches c before it leaves C)
+and keeps its cross edges, which all end in C.  Repeated at each cut
+vertex, this leaves the model inside one block.  A block's branch sets
+are a model in g, so the verdict is that of the search of each whole
+component.  Each block gets a component's order and edge-count skips,
+and the expansions of a free answer are summed over the blocks
+searched, all spent from the one budget.
 
 The search breaks the symmetry of the pattern: twins of H (vertices
 whose rows are equal once their mutual bit is cleared, as in one side of
@@ -48,7 +64,8 @@ One expansion is one connected set examined.  The count is part of the
 contract of the `minor` report (its "expansions" field) and fixes the
 exact expansion at which a budget runs out, so a change that only makes
 the search faster must try the same sets in the same order and leave
-every count as it is; tests/test_minors.py pins them with a digest.
+every count as it is; tests/test_minors.py pins them with a digest, which
+only a change of the search tree itself re-pins.
 """
 
 from __future__ import annotations
@@ -110,14 +127,16 @@ def validate_witness(g: Graph, h: Graph, witness: MinorWitness) -> bool:
 
 class _Pattern(NamedTuple):
     """What has_minor and the two searches use of a pattern h, worked out
-    once per pattern by _pattern: its edge count, whether it is connected
-    and a star, the placement order (decreasing degree, then index), and
+    once per pattern by _pattern: its edge count, whether it is connected,
+    a star and 2-connected (at least two vertices, all in one block), the
+    placement order (decreasing degree, then index), and
     per placement index the indices of the neighbours placed before it
     and of the twin placed just before it (None when it has none)."""
 
     e: int
     connected: bool
     star: bool
+    biconnected: bool
     order: tuple[int, ...]
     placed_nbrs: tuple[tuple[int, ...], ...]
     twin_before: tuple[int | None, ...]
@@ -132,7 +151,8 @@ def _pattern(h: Graph) -> _Pattern:
     for cls in _twin_classes(h.rows, order):
         for prev, hv in zip(cls, cls[1:]):
             twin_before[pos[hv]] = pos[prev]
-    return _Pattern(h.e, h.is_connected(), _is_star(h), tuple(order), placed_nbrs, tuple(twin_before))
+    biconnected = h.n >= 2 and h.block_masks() == [(1 << h.n) - 1]
+    return _Pattern(h.e, h.is_connected(), _is_star(h), biconnected, tuple(order), placed_nbrs, tuple(twin_before))
 
 
 def _minor_search(g: Graph, h: Graph, budget: int, within: int):
@@ -309,7 +329,13 @@ def _star_search(g: Graph, h: Graph, budget: int, within: int):
 
 def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
     """Exact minor test within the expansion budget (>= 0).  A "contains"
-    answer carries branch sets that revalidate independently."""
+    answer carries branch sets that revalidate independently.
+
+    Unless h is a star, dominating vertices of g are peeled first.  Then
+    a connected h is searched component by component, and a 2-connected
+    one block by block (Graph.block_masks), skipping those with too few
+    vertices or edges; the expansions are summed over every search run,
+    and the budget verdict reports the whole budget spent."""
     if h.n < 1:
         raise ValueError("pattern must be nonempty")
     if budget < 0:
@@ -327,10 +353,21 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
         rest = [v for v in range(g.n) if v not in dom]
         sub = g.induced(rest)
         classes = _twin_classes(h.rows, p.order)
+        # h is K_{r,s} when it has two twin classes, each joined to the
+        # other; then h - X is K_{r-i,s-j}, the same graph as its mirror
+        # K_{s-j,r-i}, which is tried once
+        sides = [sum(1 << v for v in c) for c in classes]
+        mirrored = len(classes) == 2 and h.rows[classes[0][0]] == sides[1] and h.rows[classes[1][0]] == sides[0]
+        tried = set()
         for counts in product(*(range(min(len(c), len(dom)), -1, -1) for c in classes)):
             x = [v for c, k in zip(classes, counts) for v in c[:k]]
             if len(x) != len(dom):
                 continue
+            if mirrored:
+                left = tuple(sorted(len(c) - k for c, k in zip(classes, counts)))
+                if left in tried:
+                    continue
+                tried.add(left)
             keep = [v for v in range(h.n) if v not in x]
             w = has_minor(sub, h.induced(keep), budget - spent)
             spent += w.expansions
@@ -342,8 +379,12 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
             if w.verdict != VERDICT_FREE:
                 return w._replace(expansions=spent)
         return MinorWitness(VERDICT_FREE, None, spent)
-    # a connected pattern must live inside one component, searched in place
-    parts = g.component_masks() if p.connected else [(1 << g.n) - 1]
+    # a connected pattern must live inside one component, and a 2-connected
+    # one inside one block; each is searched in place
+    if p.biconnected and not p.star:
+        parts = g.block_masks()
+    else:
+        parts = g.component_masks() if p.connected else [(1 << g.n) - 1]
     search = _star_search if p.star else _minor_search
     for mask in parts:
         if h.n > mask.bit_count() or 2 * p.e > sum((g.rows[v] & mask).bit_count() for v in _bits(mask)):

@@ -157,6 +157,57 @@ def test_component_masks_match_bfs():
     assert len(big.component_masks()) == 7
 
 
+def _check_blocks(g: Graph, within: int):
+    """block_masks(within) against networkx's biconnected components of
+    the subgraph induced on within: the same blocks, those of one
+    component together and the components by smallest vertex."""
+    sub = to_nx(g).subgraph(_bits(within))
+    blocks = g.block_masks(within)
+    assert sorted(blocks) == sorted(sum(1 << v for v in b) for b in nx.biconnected_components(sub)), \
+        (g.to_graph6(), within)
+    comps = sorted((sum(1 << v for v in c) for c in nx.connected_components(sub)), key=lambda m: m & -m)
+    owner = [next(i for i, c in enumerate(comps) if c & b) for b in blocks]
+    assert owner == sorted(owner), (g.to_graph6(), within)
+
+
+def test_block_masks_match_networkx():
+    from kabminor.extremal import enumerate_graphs
+
+    rng = random.Random(5)
+    # every graph of order <= 7, whole and cut by a random vertex mask
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            _check_blocks(g, (1 << n) - 1)
+            _check_blocks(g, rng.randrange(1 << n))
+    # seeded G(n, p) up to order 60, sparse to dense
+    for _ in range(300):
+        n = rng.randrange(1, 61)
+        p = rng.choice((0.03, 0.06, 0.1, 0.3))
+        g = from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        _check_blocks(g, (1 << n) - 1)
+        _check_blocks(g, rng.randrange(1 << n))
+
+
+def test_block_masks_cases():
+    # an isolated vertex lies in no block, a bridge is a block of its own
+    # and a cut vertex is in two blocks
+    g = disjoint_union([complete(1), from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]), complete(1)])
+    assert g.block_masks() == [0b110000, 0b11000, 0b1110]
+    assert complete(1).block_masks() == empty_graph(3).block_masks() == empty_graph(0).block_masks() == []
+    assert complete(2).block_masks() == [0b11]
+    assert g.block_masks(None) == g.block_masks((1 << g.n) - 1)
+    _check_blocks(g, (1 << g.n) - 1)
+    # a mask that cuts a component: C_6 without vertex 0 is a path of
+    # four bridges, and the triangle 1, 2, 3 without vertex 2 the bridge 13
+    assert sorted(cycle(6).block_masks(0b111110)) == [0b110, 0b1100, 0b11000, 0b110000]
+    assert g.block_masks(0b111010) == [0b110000, 0b11000, 0b1010]
+    for within in range(1 << g.n):
+        _check_blocks(g, within)
+    # the depth-first search keeps its own stack: a path of 500 vertices
+    # is 499 bridges, with no RecursionError
+    assert sorted(path_graph(500).block_masks()) == sorted(3 << v for v in range(499))
+
+
 def test_star_forest_complement_edge_count():
     a, b = 2, 5
     tau = (b + 1) // (a + 1)
