@@ -129,7 +129,7 @@ class _SpecParser:
         self.pos = 0
 
     def parse(self) -> Graph:
-        g = self._expr()
+        g = self._term()
         if self.pos != len(self.text):
             raise SpecError(f"trailing input at {self.pos}: {self.text[self.pos:]!r}")
         return g

@@ -187,14 +187,15 @@ class Graph(_Value):
 
     # -- connectivity --------------------------------------------------
 
-    def component_masks(self) -> list[int]:
-        """Vertex bitmasks of the connected components, by smallest vertex."""
+    def component_masks(self, within: int | None = None) -> list[int]:
+        """Vertex bitmasks of the components of the subgraph induced on the
+        vertex mask within (default: every vertex), by smallest vertex."""
         rows = self.rows
-        rest = (1 << self.n) - 1
+        rest = (1 << self.n) - 1 if within is None else within
         out = []
         while rest:
             comp = rest & -rest
-            frontier = rows[comp.bit_length() - 1] & ~comp
+            frontier = rows[comp.bit_length() - 1] & rest & ~comp
             while frontier:  # one BFS level per round, its vertices by lowest bit
                 comp |= frontier
                 reached = 0
@@ -202,7 +203,7 @@ class Graph(_Value):
                     low = frontier & -frontier
                     reached |= rows[low.bit_length() - 1]
                     frontier ^= low
-                frontier = reached & ~comp
+                frontier = reached & rest & ~comp
             rest &= ~comp
             out.append(comp)
         return out
@@ -288,9 +289,6 @@ class Graph(_Value):
             self._check_vertex(v)
         labels = tuple(self.labels[v] for v in verts) if self.labels else None
         return Graph._unchecked(len(verts), _renumbered(self.rows, verts), labels)
-
-    def induced_mask(self, mask: int) -> "Graph":
-        return self.induced(list(_bits(mask)))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """New graph with vertex v moved to position perm[v]."""

@@ -16,29 +16,34 @@ when another pattern ran out of budget, and the budget verdict applies
 only when none was found.  The boolean checks raise BudgetExhausted, the
 one budget exception, which extremal.survivors makes name its candidate.
 
-Unless h is a star, has_minor first peels dominating vertices: with D
-the host's first dominating vertices (degree n - 1), at most h.n - 1,
-g has an h minor iff g - D has an h - X minor for some |D| vertices X
-of h, each of which then takes a singleton of D, a branch set that
-meets every other; every h - X tried spends from the one budget.  For
-K_{a,b} and the a - 1 apex vertices of the paper's joins, the h - X are
-the K_{r, b+1-r} of the (a,b)-property: the reduction of Zhai and Lin.
-When h is K_{r,s}, an h - X that is the mirror K_{j,i} of a K_{i,j}
-already tried, the same graph, is skipped.
+has_minor is one loop over sub-problems (X, h - X), each searched in
+place inside rest, the vertex mask of g - D, so the branch sets found
+are in g's numbering.  Unless h is a star, D is the host's first
+dominating vertices (degree n - 1), at most h.n - 1: g has an h minor
+iff g - D has an h - X minor for some |D| vertices X of h, one X per
+split of |D| over h's twin classes, X's vertices taking the singletons
+of D, branch sets that meet every other; else the one sub-problem is
+([], h).  For K_{a,b} and the a - 1 apex vertices of the paper's joins,
+the h - X are the K_{r, b+1-r} of the (a,b)-property, the reduction of
+Zhai and Lin; for h = K_{r,s}, an h - X whose mirror was tried is
+skipped.  No second peel: a vertex dominating g - D is adjacent to all
+of D too, so dominates g, and D holds it unless D was cut to h.n - 1
+vertices, when h - X is K_1, which peels nothing.
 
-A 2-connected pattern other than a star (K_{a,b} with 2 <= a <= b among
+A 2-connected h - X other than a star (K_{a,b} with 2 <= a <= b among
 them) is searched block by block, since every model of it lies inside
-one block of g.  Take a cut vertex c of g and a model of h.  Branch sets
-that miss c and are adjacent in h meet along an edge that misses c, and
-h minus one vertex is connected, so all branch sets that miss c lie in
-one component C of g - c.  The branch set that holds c, cut down to C
-and c, stays connected (a path from C to c reaches c before it leaves C)
-and keeps its cross edges, which all end in C.  Repeated at each cut
-vertex, this leaves the model inside one block.  A block's branch sets
-are a model in g, so the verdict is that of the search of each whole
-component.  Each block gets a component's order and edge-count skips,
-and the expansions of a free answer are summed over the blocks
-searched, all spent from the one budget.
+one block of g - D.  Take a 2-connected pattern H, a cut vertex c of a
+host G and a model of H in G.  Branch sets that miss c and are adjacent
+in H meet along an edge that misses c, and H minus one vertex is
+connected, so all branch sets that miss c lie in one component C of
+G - c.  The branch set that holds c, cut down to C and c, stays
+connected (a path from C to c reaches c before it leaves C) and keeps
+its cross edges, which all end in C.  Repeated at each cut vertex, this
+leaves the model inside one block.  A block's branch sets are a model
+in G, so the verdict is that of the search of each whole component.
+Each block gets a component's order and edge-count skips, and the
+expansions of a free answer are summed over the blocks searched, all
+spent from the one budget.
 
 The search breaks the symmetry of the pattern: twins of H (vertices
 whose rows are equal once their mutual bit is cleared, as in one side of
@@ -116,7 +121,7 @@ def validate_witness(g: Graph, h: Graph, witness: MinorWitness) -> bool:
                 return False
             mask |= 1 << v
             used |= 1 << v
-        if mask & (mask - 1) and len(g.induced_mask(mask).component_masks()) != 1:
+        if mask & (mask - 1) and len(g.component_masks(mask)) != 1:
             return False
         masks.append(mask)
     for u, v in h.edges():
@@ -271,10 +276,10 @@ def _is_star(h: Graph) -> bool:
 
 def _star_search(g: Graph, h: Graph, budget: int, within: int):
     """_minor_search for a star pattern h = K_{1,b} via the boundary
-    criterion: inside the vertex mask `within`, a union of components of
-    g, the minor exists iff some connected set S has at least b
-    neighbours outside S.  The centre's branch set is the first such S,
-    each leaf a single vertex of N(S) minus S.  Returns (found,
+    criterion: inside the vertex mask `within`, any set of vertices of g,
+    the minor exists iff some connected set S has at least b neighbours
+    in within outside S.  The centre's branch set is the first such S,
+    each leaf a single vertex of those neighbours.  Returns (found,
     branch_masks, expansions) or raises BudgetExhausted; one expansion per
     connected set examined.
 
@@ -285,8 +290,8 @@ def _star_search(g: Graph, h: Graph, budget: int, within: int):
     rows = g.rows
     count = 0
 
-    def found(s: int, nb: int):
-        out = [1 << u for u in _bits(nb & ~s)][:b]
+    def found(s: int, leaves: int):
+        out = [1 << u for u in _bits(leaves)][:b]
         out.insert(_pattern(h).order[0], s)  # the placement order puts the centre first
         return True, out, count
 
@@ -294,8 +299,9 @@ def _star_search(g: Graph, h: Graph, budget: int, within: int):
         count += 1
         if count > budget:
             raise BudgetExhausted(f"expansion budget {budget} exhausted")
-        if rows[v].bit_count() >= b:
-            return found(1 << v, rows[v])
+        leaves = rows[v] & within
+        if leaves.bit_count() >= b:
+            return found(1 << v, leaves)
     cap = within.bit_count() - b
     rest = within if cap > 1 else 0
     stack = []
@@ -317,8 +323,9 @@ def _star_search(g: Graph, h: Graph, budget: int, within: int):
             count += 1
             if count > budget:
                 raise BudgetExhausted(f"expansion budget {budget} exhausted")
-            if (nb & ~s).bit_count() >= b:
-                return found(s, nb)
+            leaves = nb & within & ~s
+            if leaves.bit_count() >= b:
+                return found(s, leaves)
             if s.bit_count() < cap:
                 if cand:
                     stack.append((fs, fnb, cand, ext))
@@ -331,11 +338,10 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
     """Exact minor test within the expansion budget (>= 0).  A "contains"
     answer carries branch sets that revalidate independently.
 
-    Unless h is a star, dominating vertices of g are peeled first.  Then
-    a connected h is searched component by component, and a 2-connected
-    one block by block (Graph.block_masks), skipping those with too few
-    vertices or edges; the expansions are summed over every search run,
-    and the budget verdict reports the whole budget spent."""
+    The sub-problems (X, h - X) of the module docstring are searched in
+    the components of g - D, or in its blocks when h - X is 2-connected,
+    skipping those with too few vertices or edges; expansions are summed
+    over every search run, and a budget verdict reports the whole budget."""
     if h.n < 1:
         raise ValueError("pattern must be nonempty")
     if budget < 0:
@@ -345,20 +351,18 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
     p = _pattern(h)
     if p.e > g.e:
         return MinorWitness(VERDICT_FREE, None, 0)
-    spent = 0
     dom = [] if p.star else [v for v, r in enumerate(g.rows) if r.bit_count() == g.n - 1][: h.n - 1]
+    rest = (1 << g.n) - 1 - sum(1 << d for d in dom)  # the vertex mask of g - dom
+    xs = [[]]  # the X of each sub-problem (X, h - X)
     if dom:
-        # the dominating-vertex rule: g - dom against one h - X per vector
-        # of counts from h's twin classes, the first class taking the most
-        rest = [v for v in range(g.n) if v not in dom]
-        sub = g.induced(rest)
+        # the dominating-vertex rule: one X per vector of counts from h's
+        # twin classes, the first class taking the most
         classes = _twin_classes(h.rows, p.order)
-        # h is K_{r,s} when it has two twin classes, each joined to the
-        # other; then h - X is K_{r-i,s-j}, the same graph as its mirror
-        # K_{s-j,r-i}, which is tried once
+        # h is K_{r,s} when its two twin classes are each joined to the
+        # other; h - X = K_{r-i,s-j} is then tried once with its mirror
         sides = [sum(1 << v for v in c) for c in classes]
         mirrored = len(classes) == 2 and h.rows[classes[0][0]] == sides[1] and h.rows[classes[1][0]] == sides[0]
-        tried = set()
+        xs, tried = [], set()
         for counts in product(*(range(min(len(c), len(dom)), -1, -1) for c in classes)):
             x = [v for c, k in zip(classes, counts) for v in c[:k]]
             if len(x) != len(dom):
@@ -368,37 +372,33 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
                 if left in tried:
                     continue
                 tried.add(left)
-            keep = [v for v in range(h.n) if v not in x]
-            w = has_minor(sub, h.induced(keep), budget - spent)
-            spent += w.expansions
-            if w.verdict == VERDICT_CONTAINS:
-                sets = [(d,) for d in dom] + [tuple(rest[u] for u in bs) for bs in w.branch_sets]
-                w = MinorWitness(VERDICT_CONTAINS, tuple(bs for _, bs in sorted(zip(x + keep, sets))), spent)
+            xs.append(x)
+    spent = 0
+    for x in xs:
+        keep = [v for v in range(h.n) if v not in x]
+        sub = h.induced(keep) if x else h
+        q = _pattern(sub)
+        # a connected h - X lives in one component, a 2-connected one in one block
+        if q.biconnected and not q.star:
+            parts = g.block_masks(rest)
+        else:
+            parts = g.component_masks(rest) if q.connected else [rest]
+        search = _star_search if q.star else _minor_search
+        for mask in parts:
+            if sub.n > mask.bit_count() or 2 * q.e > sum((g.rows[v] & mask).bit_count() for v in _bits(mask)):
+                continue
+            try:
+                found, masks, used = search(g, sub, budget - spent, mask)
+            except BudgetExhausted:
+                return MinorWitness(VERDICT_BUDGET, None, budget)
+            spent += used
+            if found:
+                # X takes the singletons of dom, h - X the masks found
+                sets = sorted(zip(x + keep, [(d,) for d in dom] + [tuple(_bits(m)) for m in masks]))
+                w = MinorWitness(VERDICT_CONTAINS, tuple(bs for _, bs in sets), spent)
                 if not validate_witness(g, h, w):
                     raise AssertionError("search produced an invalid witness")
-            if w.verdict != VERDICT_FREE:
-                return w._replace(expansions=spent)
-        return MinorWitness(VERDICT_FREE, None, spent)
-    # a connected pattern must live inside one component, and a 2-connected
-    # one inside one block; each is searched in place
-    if p.biconnected and not p.star:
-        parts = g.block_masks()
-    else:
-        parts = g.component_masks() if p.connected else [(1 << g.n) - 1]
-    search = _star_search if p.star else _minor_search
-    for mask in parts:
-        if h.n > mask.bit_count() or 2 * p.e > sum((g.rows[v] & mask).bit_count() for v in _bits(mask)):
-            continue
-        try:
-            found, masks, used = search(g, h, budget - spent, mask)
-        except BudgetExhausted:
-            return MinorWitness(VERDICT_BUDGET, None, budget)
-        spent += used
-        if found:
-            w = MinorWitness(VERDICT_CONTAINS, tuple(tuple(_bits(m)) for m in masks), spent)
-            if not validate_witness(g, h, w):
-                raise AssertionError("search produced an invalid witness")
-            return w
+                return w
     return MinorWitness(VERDICT_FREE, None, spent)
 
 

@@ -60,6 +60,16 @@ def test_grammar_errors():
             parse_family_spec(bad)
 
 
+def test_top_level_multiplier(capsys):
+    # *k binds outside any combinator too, as inside union(...)
+    assert parse_family_spec("K:5*2") == parse_family_spec("union(K:5*2)")
+    code, out, _ = run(capsys, "construct", "K:5*2", "--format", "json")
+    assert code == 0 and json.loads(out)["graph6"] == parse_family_spec("union(K:5*2)").to_graph6()
+    code, out, err = run(capsys, "construct", "K:300*2")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: order 600 exceeds the cap of {MAX_ORDER} vertices\n"
+
+
 def test_construct_json(capsys):
     code, out, _ = run(capsys, "construct", "C:5", "--format", "json")
     assert code == EXIT_OK

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kabminor import minors
-from kabminor.extremal import enumerate_graphs, survivors
+from kabminor.extremal import enumerate_graphs, predict, survivors
 from kabminor.graphs import (
     Graph,
     _bits,
@@ -364,6 +364,25 @@ def test_dominating_vertex_rule_matches_direct_search():
     assert pairs == 3_822
 
 
+def _posed(monkeypatch, g, h):
+    """The (pattern, within) of each search has_minor(g, h) runs when no
+    search finds anything, so that it poses every sub-problem; each
+    within misses the dominating vertices of g."""
+    posed = []
+
+    def search(g, h, budget, within):
+        posed.append((h, within))
+        return False, None, 0
+
+    monkeypatch.setattr(minors, "_minor_search", search)
+    monkeypatch.setattr(minors, "_star_search", search)
+    assert has_minor(g, h) == MinorWitness(VERDICT_FREE, None, 0)
+    monkeypatch.undo()
+    dom = sum(1 << v for v in range(g.n) if g.degree(v) == g.n - 1)
+    assert all(not within & dom for _, within in posed)
+    return posed
+
+
 def test_dominating_vertex_rule_cases(monkeypatch):
     k24 = complete_bipartite(2, 4)
     # as many dominating vertices as h has vertices: h.n - 1 of them are
@@ -372,18 +391,11 @@ def test_dominating_vertex_rule_cases(monkeypatch):
         VERDICT_CONTAINS, ((0,), (1,), (2,), (3,), (4,)), 1)
     # one sub-problem per vector of counts from K_{3,3}'s two twin
     # classes, not one per pair of its vertices, and K_{3,1} not after
-    # its mirror K_{1,3}
-    calls = []
-    real = minors.has_minor
-
-    def spy(g, h, budget=DEFAULT_BUDGET):
-        calls.append((g, h))
-        return real(g, h, budget)
-
-    monkeypatch.setattr(minors, "has_minor", spy)
-    assert spy(join(complete(2), path_graph(5)), complete_bipartite(3, 3)).verdict == VERDICT_FREE
-    assert calls[1:] == [(path_graph(5), complete_bipartite(*rs)) for rs in ((1, 3), (2, 2))]
-    monkeypatch.undo()
+    # its mirror K_{1,3}: both searched in the C_5 left by the two apexes
+    g = join(complete(2), cycle(5))
+    c5 = 0b1111100
+    assert _posed(monkeypatch, g, complete_bipartite(3, 3)) == [(complete_bipartite(*rs), c5) for rs in ((1, 3), (2, 2))]
+    assert has_minor(g, complete_bipartite(3, 3)).verdict == VERDICT_CONTAINS
     # the wheel K_1 + C_8 is free: C_8 has neither K_{1,4} nor K_{2,3};
     # the budget runs out in the second sub-problem, and is spent whole
     g = join(complete(1), cycle(8))
@@ -511,7 +523,7 @@ def _plain_has_minor(g, h):
     connected set of the free vertices of g, with no symmetry breaking."""
     full = (1 << g.n) - 1
     conn = [m for m in range(1, full + 1)
-            if len(g.induced_mask(m).component_masks()) == 1]
+            if len(g.component_masks(m)) == 1]
     nbhd = {}
     for m in conn:
         nbhd[m] = 0
@@ -886,19 +898,78 @@ def test_dominating_vertex_rule_tries_mirrored_patterns_once():
 
 def test_dominating_vertex_rule_keeps_unmirrored_patterns(monkeypatch):
     # the diamond K_4 - 23 has two twin classes too, {0, 1} adjacent and
-    # {2, 3} not, but is no K_{r,s}: under the bowtie's apex, both of its
-    # sub-patterns with one vertex fewer are tried, the path P_3 and the
-    # triangle, though each leaves classes of sizes 1 and 2
+    # {2, 3} not, but is no K_{r,s}: under the apex of the wheel K_1 + C_4,
+    # both of its sub-patterns with one vertex fewer are searched in the
+    # C_4, the path P_3 and the triangle, though each leaves classes of
+    # sizes 1 and 2
     diamond = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    bowtie = join(complete(1), disjoint_union([complete(2), complete(2)]))
-    calls = []
-    real = minors.has_minor
+    c4 = 0b11110
+    assert _posed(monkeypatch, join(complete(1), cycle(4)), diamond) == [
+        (path_graph(3).relabel([1, 0, 2]), c4), (complete(3), c4)]
 
-    def spy(g, h, budget=DEFAULT_BUDGET):
-        calls.append((g, h))
-        return real(g, h, budget)
 
-    monkeypatch.setattr(minors, "has_minor", spy)
-    assert spy(bowtie, diamond).verdict == VERDICT_FREE
-    matching = disjoint_union([complete(2), complete(2)])
-    assert calls[1:] == [(matching, path_graph(3).relabel([1, 0, 2])), (matching, complete(3))]
+def test_dominating_vertex_paths_digest_matches_reference():
+    # every graph of order <= 7 with a dominating vertex against five
+    # patterns that are no K_{r,s}, and three of the paper's joins against
+    # their K_{a,b}: pins the verdict, expansion count and branch sets of
+    # each search run inside g - D
+    diamond = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    patterns = [("K_4", complete(4)), ("C_5", cycle(5)), ("P_4", path_graph(4)), ("diamond", diamond),
+                ("K_1+K_3", disjoint_union([complete(1), complete(3)]))]
+    hosts = [g for n in range(1, 8) for g in enumerate_graphs(n) if g.n - 1 in g.degrees()]
+    cases = [(g, name, h) for g in hosts for name, h in patterns]
+    for a, b, n in ((2, 4, 20), (3, 4, 12), (4, 8, 21)):
+        cases.append((predict(a, b, n, 0.5).graph, f"K_{{{a},{b}}}", complete_bipartite(a, b)))
+    assert len(cases) == 1_048
+    lines = []
+    for g, name, h in cases:
+        w = has_minor(g, h)
+        lines.append(f"{g.to_graph6()} {name} {w.verdict} {w.expansions} {w.branch_sets}")
+        # the budget fires on the expansion past the count, not before
+        if w.expansions:
+            budget = w.expansions - 1
+            assert has_minor(g, h, budget=budget) == MinorWitness(VERDICT_BUDGET, None, budget), lines[-1]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d486323a8f4c92eabc98a9e247cea013f213fc2a6a22ec2576f9a36b25b8b2d8"
+
+
+def _star_boundary_brute(g, within):
+    """The largest |N(S) in within, minus S| over the connected vertex
+    sets S inside within, by trying every subset of within."""
+    best = 0
+    for s in range(1, within + 1):
+        if s & ~within or not _is_connected_mask(g.rows, s):
+            continue
+        nb = 0
+        for v in _bits(s):
+            nb |= g.rows[v]
+        best = max(best, (nb & within & ~s).bit_count())
+    return best
+
+
+def test_star_search_inside_any_vertex_mask():
+    # every graph of order <= 6 under every vertex mask, and every graph
+    # of order 7 under two random ones, against every K_{1,b}: a star is
+    # found iff the boundary criterion restricted to the mask holds, and
+    # its branch sets lie inside the mask
+    rng = np.random.default_rng(11)
+    cases = [(g, within) for n in range(1, 7) for g in enumerate_graphs(n) for within in range(1, 1 << n)]
+    cases += [(g, int(rng.integers(1, 1 << 7))) for g in enumerate_graphs(7) for _ in range(2)]
+    cut = 0
+    for g, within in cases:
+        cut += within not in _unions_of_components(g)
+        best = _star_boundary_brute(g, within)
+        for b in range(1, within.bit_count()):
+            h = complete_bipartite(1, b)
+            found, masks, _ = _star_search(g, h, DEFAULT_BUDGET, within)
+            assert found == (b <= best), (g.to_graph6(), within, b)
+            if found:
+                assert all(m and not m & ~within for m in masks), (g.to_graph6(), within, b)
+                w = MinorWitness(VERDICT_CONTAINS, tuple(tuple(_bits(m)) for m in masks), 0)
+                assert validate_witness(g, h, w), (g.to_graph6(), within, b)
+    assert cut > len(cases) // 2
+
+
+def _unions_of_components(g):
+    comps = g.component_masks()
+    return {sum(c for i, c in enumerate(comps) if pick >> i & 1) for pick in range(1, 1 << len(comps))}
