@@ -30,6 +30,16 @@ skipped.  No second peel: a vertex dominating g - D is adjacent to all
 of D too, so dominates g, and D holds it unless D was cut to h.n - 1
 vertices, when h - X is K_1, which peels nothing.
 
+What depends only on the pattern is worked out once per pattern and
+kept with it (_pattern, a cached _Pattern record): the search's placement
+order and twin links, h's twin classes and whether it is a K_{r,s}, and,
+for each number |D| of peeled vertices, the table of sub-problems (X, the
+kept vertices, h - X and its own record), filled in on first use.  What
+depends on the host is worked out once per call: g - D is split into
+components or blocks (or kept whole) at most once per kind, however many
+sub-problems ask for that kind, and each part is kept with its doubled
+edge count.
+
 A 2-connected h - X other than a star (K_{a,b} with 2 <= a <= b among
 them) is searched block by block, since every model of it lies inside
 one block of g - D.  Take a 2-connected pattern H, a cut vertex c of a
@@ -105,46 +115,73 @@ class MinorWitness(NamedTuple):
 
 def validate_witness(g: Graph, h: Graph, witness: MinorWitness) -> bool:
     """Independent re-check of a containment witness: branch sets
-    nonempty, disjoint, connected in g, and covering every edge of h."""
+    nonempty, disjoint, connected in g, and covering every edge of h.
+
+    Every branch set's mask and the OR of its rows are rebuilt from the
+    witness's vertex tuples on each call, from no record of the search's
+    (nothing per pattern or per host), so the check stays independent of
+    it; an edge uv of h is covered iff the OR of u's rows meets v's mask,
+    one AND per edge."""
     if witness.verdict != VERDICT_CONTAINS or witness.branch_sets is None:
         return False
     if len(witness.branch_sets) != h.n:
         return False
+    rows = g.rows
     masks = []
+    nbs = []
     used = 0
     for bs in witness.branch_sets:
         if not bs:
             return False
-        mask = 0
+        mask = nb = 0
         for v in bs:
             if not 0 <= v < g.n or used >> v & 1:
                 return False
             mask |= 1 << v
             used |= 1 << v
+            nb |= rows[v]
         if mask & (mask - 1) and len(g.component_masks(mask)) != 1:
             return False
         masks.append(mask)
-    for u, v in h.edges():
-        if not any(g.rows[x] & masks[v] for x in _bits(masks[u])):
-            return False
+        nbs.append(nb)
+    for u, r in enumerate(h.rows):
+        above = r >> u + 1 << u + 1
+        while above:
+            low = above & -above
+            above ^= low
+            if not nbs[u] & masks[low.bit_length() - 1]:
+                return False
     return True
 
 
 class _Pattern(NamedTuple):
     """What has_minor and the two searches use of a pattern h, worked out
-    once per pattern by _pattern: its edge count, whether it is connected,
-    a star and 2-connected (at least two vertices, all in one block), the
-    placement order (decreasing degree, then index), and
-    per placement index the indices of the neighbours placed before it
-    and of the twin placed just before it (None when it has none)."""
+    once per pattern by _pattern: its order and edge count, whether it is
+    connected, a star and 2-connected (at least two vertices, all in one
+    block), how has_minor splits a host for it (split), the placement order
+    (decreasing degree, then index), per placement index the indices of the
+    neighbours placed before it and of the twin placed just before it (None
+    when it has none), its twin classes (in placement order, the classes by
+    first member) and whether it is a K_{r,s} whose two classes are its
+    sides (mirrored).
 
+    tables maps a number k of peeled dominating vertices to the
+    sub-problems (X, kept vertices, h - X, the _Pattern of h - X) of the
+    dominating-vertex rule, in the order has_minor tries them; _subproblems
+    fills it in lazily, once per (pattern, k)."""
+
+    n: int
     e: int
     connected: bool
     star: bool
     biconnected: bool
+    split: str  # "blocks", "components" or "whole"
     order: tuple[int, ...]
     placed_nbrs: tuple[tuple[int, ...], ...]
     twin_before: tuple[int | None, ...]
+    classes: tuple[tuple[int, ...], ...]
+    mirrored: bool
+    tables: dict
 
 
 @lru_cache(maxsize=64)
@@ -152,17 +189,60 @@ def _pattern(h: Graph) -> _Pattern:
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
     pos = {hv: i for i, hv in enumerate(order)}
     placed_nbrs = tuple(tuple(pos[u] for u in h.neighbors(hv) if pos[u] < i) for i, hv in enumerate(order))
+    classes = _twin_classes(h.rows, order)
     twin_before = [None] * h.n
-    for cls in _twin_classes(h.rows, order):
+    for cls in classes:
         for prev, hv in zip(cls, cls[1:]):
             twin_before[pos[hv]] = pos[prev]
+    # h is K_{r,s} when its two twin classes are each joined to the other
+    sides = [sum(1 << v for v in c) for c in classes]
+    mirrored = len(classes) == 2 and h.rows[classes[0][0]] == sides[1] and h.rows[classes[1][0]] == sides[0]
+    connected = h.is_connected()
+    star = _is_star(h)
     biconnected = h.n >= 2 and h.block_masks() == [(1 << h.n) - 1]
-    return _Pattern(h.e, h.is_connected(), _is_star(h), biconnected, tuple(order), placed_nbrs, tuple(twin_before))
+    # a connected h - X lives in one component, a 2-connected one in one block
+    split = "blocks" if biconnected and not star else "components" if connected else "whole"
+    return _Pattern(h.n, h.e, connected, star, biconnected, split, tuple(order), placed_nbrs,
+                    tuple(twin_before), tuple(map(tuple, classes)), mirrored, {})
 
 
-def _minor_search(g: Graph, h: Graph, budget: int, within: int):
+def _subproblems(h: Graph, p: _Pattern, k: int):
+    """The sub-problems (X, kept vertices, h - X, _pattern(h - X)) of
+    has_minor when k dominating vertices are peeled, worked out on the
+    first call for (p, k) and kept in p.tables.  With k = 0 the one
+    sub-problem is ([], h); else one X of k vertices per vector of counts
+    from h's twin classes, the first class taking the most, and for a
+    mirrored h = K_{r,s} an h - X = K_{r-i,s-j} is tried once with its
+    mirror."""
+    table = p.tables.get(k)
+    if table is not None:
+        return table
+    xs = [[]]  # the X of each sub-problem (X, h - X)
+    if k:
+        xs, tried = [], set()
+        for counts in product(*(range(min(len(c), k), -1, -1) for c in p.classes)):
+            x = [v for c, i in zip(p.classes, counts) for v in c[:i]]
+            if len(x) != k:
+                continue
+            if p.mirrored:
+                left = tuple(sorted(len(c) - i for c, i in zip(p.classes, counts)))
+                if left in tried:
+                    continue
+                tried.add(left)
+            xs.append(x)
+    table = []
+    for x in xs:
+        keep = [v for v in range(h.n) if v not in x]
+        sub = h.induced(keep) if x else h
+        table.append((x, keep, sub, _pattern(sub) if x else p))
+    table = p.tables[k] = tuple(table)
+    return table
+
+
+def _minor_search(g: Graph, h: Graph, budget: int, within: int, p: _Pattern | None = None):
     """Backtracking branch-set assignment inside the vertex mask `within`;
     returns (found, branch_masks, expansions) or raises BudgetExhausted.
+    p is _pattern(h), looked up when not given.
 
     H-vertices are placed in order of decreasing degree, each drawing its
     branch set from the connected sets of the still-free vertices.  Twins
@@ -175,8 +255,9 @@ def _minor_search(g: Graph, h: Graph, budget: int, within: int):
     Each level walks the connected subsets of its allowed vertices inline,
     in the walk order of the module docstring, and leaves off the stack a
     set with no untried candidate."""
-    p = _pattern(h)
-    nh = h.n
+    if p is None:
+        p = _pattern(h)
+    nh = p.n
     placed_nbrs = p.placed_nbrs
     twin_before = p.twin_before
     rows = g.rows
@@ -274,25 +355,27 @@ def _is_star(h: Graph) -> bool:
     return h.n >= 2 and h.e == h.n - 1 and h.max_degree() == h.n - 1
 
 
-def _star_search(g: Graph, h: Graph, budget: int, within: int):
+def _star_search(g: Graph, h: Graph, budget: int, within: int, p: _Pattern | None = None):
     """_minor_search for a star pattern h = K_{1,b} via the boundary
     criterion: inside the vertex mask `within`, any set of vertices of g,
     the minor exists iff some connected set S has at least b neighbours
     in within outside S.  The centre's branch set is the first such S,
     each leaf a single vertex of those neighbours.  Returns (found,
     branch_masks, expansions) or raises BudgetExhausted; one expansion per
-    connected set examined.
+    connected set examined.  p is _pattern(h), looked up when not given.
 
     Singletons go first, since a vertex of degree >= b settles it.  Then
     the sets of size 2 to |within| - b are walked inline in the order of
     _minor_search's walk, from each root but without examining it again."""
-    b = h.n - 1
+    if p is None:
+        p = _pattern(h)
+    b = p.n - 1
     rows = g.rows
     count = 0
 
     def found(s: int, leaves: int):
         out = [1 << u for u in _bits(leaves)][:b]
-        out.insert(_pattern(h).order[0], s)  # the placement order puts the centre first
+        out.insert(p.order[0], s)  # the placement order puts the centre first
         return True, out, count
 
     for v in _bits(within):
@@ -334,14 +417,33 @@ def _star_search(g: Graph, h: Graph, budget: int, within: int):
     return False, None, count
 
 
+def _twice_edges(rows, mask: int) -> int:
+    """Twice the edge count of the subgraph induced on the vertex mask."""
+    total = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        total += (rows[low.bit_length() - 1] & mask).bit_count()
+    return total
+
+
 def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
     """Exact minor test within the expansion budget (>= 0).  A "contains"
     answer carries branch sets that revalidate independently.
 
-    The sub-problems (X, h - X) of the module docstring are searched in
-    the components of g - D, or in its blocks when h - X is 2-connected,
-    skipping those with too few vertices or edges; expansions are summed
-    over every search run, and a budget verdict reports the whole budget."""
+    The sub-problems (X, h - X) of the module docstring come from h's
+    table for the number of dominating vertices peeled (_subproblems,
+    worked out once per pattern and number), each with its _Pattern,
+    which the search is handed.  Each is searched in the parts of g - D
+    that its split asks for (components, blocks when h - X is
+    2-connected, or the whole mask), each kind worked out at most once per
+    call: a part with fewer vertices than h - X is dropped, and each
+    other is kept with its doubled edge count, which skips it for an h - X
+    with more edges.  Expansions are summed over every search run, and a
+    budget verdict reports the whole budget.  A found model's witness is
+    built straight from the branch masks, X's vertices taking the
+    singletons of D, and rechecked by validate_witness."""
     if h.n < 1:
         raise ValueError("pattern must be nonempty")
     if budget < 0:
@@ -353,49 +455,35 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> MinorWitness:
         return MinorWitness(VERDICT_FREE, None, 0)
     dom = [] if p.star else [v for v, r in enumerate(g.rows) if r.bit_count() == g.n - 1][: h.n - 1]
     rest = (1 << g.n) - 1 - sum(1 << d for d in dom)  # the vertex mask of g - dom
-    xs = [[]]  # the X of each sub-problem (X, h - X)
-    if dom:
-        # the dominating-vertex rule: one X per vector of counts from h's
-        # twin classes, the first class taking the most
-        classes = _twin_classes(h.rows, p.order)
-        # h is K_{r,s} when its two twin classes are each joined to the
-        # other; h - X = K_{r-i,s-j} is then tried once with its mirror
-        sides = [sum(1 << v for v in c) for c in classes]
-        mirrored = len(classes) == 2 and h.rows[classes[0][0]] == sides[1] and h.rows[classes[1][0]] == sides[0]
-        xs, tried = [], set()
-        for counts in product(*(range(min(len(c), len(dom)), -1, -1) for c in classes)):
-            x = [v for c, k in zip(classes, counts) for v in c[:k]]
-            if len(x) != len(dom):
-                continue
-            if mirrored:
-                left = tuple(sorted(len(c) - k for c, k in zip(classes, counts)))
-                if left in tried:
-                    continue
-                tried.add(left)
-            xs.append(x)
+    # every h - X has h.n - |dom| vertices, so a part with fewer is dropped
+    least = h.n - len(dom)
+    splits = {}  # split -> the parts of rest, each (mask, doubled edge count)
     spent = 0
-    for x in xs:
-        keep = [v for v in range(h.n) if v not in x]
-        sub = h.induced(keep) if x else h
-        q = _pattern(sub)
-        # a connected h - X lives in one component, a 2-connected one in one block
-        if q.biconnected and not q.star:
-            parts = g.block_masks(rest)
-        else:
-            parts = g.component_masks(rest) if q.connected else [rest]
+    for x, keep, sub, q in _subproblems(h, p, len(dom)):
+        parts = splits.get(q.split)
+        if parts is None:
+            if q.split == "blocks":
+                cut = g.block_masks(rest)
+            else:
+                cut = g.component_masks(rest) if q.split == "components" else [rest]
+            parts = splits[q.split] = [(m, _twice_edges(g.rows, m)) for m in cut if m.bit_count() >= least]
         search = _star_search if q.star else _minor_search
-        for mask in parts:
-            if sub.n > mask.bit_count() or 2 * q.e > sum((g.rows[v] & mask).bit_count() for v in _bits(mask)):
+        for mask, twice_e in parts:
+            if 2 * q.e > twice_e:
                 continue
             try:
-                found, masks, used = search(g, sub, budget - spent, mask)
+                found, masks, used = search(g, sub, budget - spent, mask, q)
             except BudgetExhausted:
                 return MinorWitness(VERDICT_BUDGET, None, budget)
             spent += used
             if found:
                 # X takes the singletons of dom, h - X the masks found
-                sets = sorted(zip(x + keep, [(d,) for d in dom] + [tuple(_bits(m)) for m in masks]))
-                w = MinorWitness(VERDICT_CONTAINS, tuple(bs for _, bs in sets), spent)
+                sets = [None] * h.n
+                for v, d in zip(x, dom):
+                    sets[v] = (d,)
+                for v, m in zip(keep, masks):
+                    sets[v] = tuple(_bits(m))
+                w = MinorWitness(VERDICT_CONTAINS, tuple(sets), spent)
                 if not validate_witness(g, h, w):
                     raise AssertionError("search produced an invalid witness")
                 return w

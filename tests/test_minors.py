@@ -1,7 +1,7 @@
 """Minor containment, star fast path, (a,b)-property, dominating-vertex rule."""
 
 import hashlib
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -66,6 +66,19 @@ def test_witness_validation_rejects_garbage():
     # opposite vertices of a 4-cycle are not connected as a branch set
     bad = MinorWitness(VERDICT_CONTAINS, ((0, 2), (1,), (3,)), 0)
     assert not validate_witness(cycle(4), h, bad)
+    for sets in (((-1,), (1,), (2,)),  # vertex out of range, below
+                 ((0,), (1,), (4,)),  # and at the order
+                 ((0,), (), (1, 2)),  # empty set
+                 ((0, 0), (1,), (2,)),  # a vertex twice in one set
+                 ((0,), (1,), (2,), (3,))):  # one set too many
+        assert not validate_witness(g, h, MinorWitness(VERDICT_CONTAINS, sets, 0)), sets
+    # the ends of the path 0 - 1 - 2 have no cross edge for the edge 01
+    p3 = path_graph(3)
+    assert validate_witness(p3, p3, MinorWitness(VERDICT_CONTAINS, ((0,), (1,), (2,)), 0))
+    assert not validate_witness(p3, p3, MinorWitness(VERDICT_CONTAINS, ((0,), (2,), (1,)), 0))
+    # only a "contains" verdict with branch sets is a witness
+    assert not validate_witness(g, h, w._replace(verdict=VERDICT_FREE))
+    assert not validate_witness(g, h, w._replace(branch_sets=None))
 
 
 def test_star_minor_free_basics():
@@ -370,7 +383,7 @@ def _posed(monkeypatch, g, h):
     within misses the dominating vertices of g."""
     posed = []
 
-    def search(g, h, budget, within):
+    def search(g, h, budget, within, p):
         posed.append((h, within))
         return False, None, 0
 
@@ -973,3 +986,176 @@ def test_star_search_inside_any_vertex_mask():
 def _unions_of_components(g):
     comps = g.component_masks()
     return {sum(c for i, c in enumerate(comps) if pick >> i & 1) for pick in range(1, 1 << len(comps))}
+
+
+def test_host_is_split_once_per_kind(monkeypatch):
+    # has_minor splits g - D into components or blocks once per host, not
+    # once per sub-problem: under the three apexes of the (4, 8, 21)
+    # clause graph, K_{1,8} asks for components and K_{2,7}, K_{3,6} and
+    # K_{4,5} for blocks; under the two apexes of K_2 + C_9, K_{1,4} asks
+    # for components and K_{2,3} for blocks
+    for g, h in ((predict(4, 8, 21, 0.5).graph, complete_bipartite(4, 8)),
+                 (join(complete(2), cycle(9)), complete_bipartite(3, 4))):
+        dom = [v for v in range(g.n) if g.degree(v) == g.n - 1][: h.n - 1]
+        rest = (1 << g.n) - 1 - sum(1 << d for d in dom)
+        calls = []
+        for name in ("component_masks", "block_masks"):
+            def spy(self, within=None, name=name, split=getattr(Graph, name)):
+                if within == rest:
+                    calls.append(name)
+                return split(self, within)
+
+            monkeypatch.setattr(Graph, name, spy)
+        assert has_minor(g, h).verdict == VERDICT_FREE
+        monkeypatch.undo()
+        assert calls == ["component_masks", "block_masks"], g.to_graph6()
+
+
+# The sub-problems of has_minor as its loop worked them out on every call
+# before the per-pattern table, verbatim but for the lines that give the
+# function its name, h's record and k peeled vertices, and that return
+# the list: the reference for the differential test below.
+
+
+def _reference_subproblems(h: Graph, k: int):
+    p = minors._pattern(h)
+    dom = list(range(k))
+    xs = [[]]  # the X of each sub-problem (X, h - X)
+    if dom:
+        # the dominating-vertex rule: one X per vector of counts from h's
+        # twin classes, the first class taking the most
+        classes = _twin_classes(h.rows, p.order)
+        # h is K_{r,s} when its two twin classes are each joined to the
+        # other; h - X = K_{r-i,s-j} is then tried once with its mirror
+        sides = [sum(1 << v for v in c) for c in classes]
+        mirrored = len(classes) == 2 and h.rows[classes[0][0]] == sides[1] and h.rows[classes[1][0]] == sides[0]
+        xs, tried = [], set()
+        for counts in product(*(range(min(len(c), len(dom)), -1, -1) for c in classes)):
+            x = [v for c, k in zip(classes, counts) for v in c[:k]]
+            if len(x) != len(dom):
+                continue
+            if mirrored:
+                left = tuple(sorted(len(c) - k for c, k in zip(classes, counts)))
+                if left in tried:
+                    continue
+                tried.add(left)
+            xs.append(x)
+    out = []
+    for x in xs:
+        keep = [v for v in range(h.n) if v not in x]
+        sub = h.induced(keep) if x else h
+        out.append((x, keep, sub))
+    return out
+
+
+def _table_patterns():
+    diamond = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    patterns = [complete_bipartite(r, s) for r in range(10) for s in range(10 - r) if r + s]
+    patterns += [complete(4), cycle(5), path_graph(4), diamond,
+                 disjoint_union([complete(1), complete(3)]), from_edges(4, [(0, 1), (2, 3)])]
+    return patterns
+
+
+def test_subproblem_table_matches_per_call_loop():
+    # every K_{r,s} with r + s <= 9 and six patterns that are no K_{r,s},
+    # for every number of peeled vertices below the order: the same X, in
+    # the same order and with the same mirror skips, the same kept
+    # vertices and h - X, each with its own record, worked out once
+    tables = 0
+    for h in _table_patterns():
+        p = minors._pattern(h)
+        for k in range(h.n):
+            table = minors._subproblems(h, p, k)
+            assert [(x, keep, sub) for x, keep, sub, _ in table] == _reference_subproblems(h, k), (h.rows, k)
+            assert all(q[:-1] == minors._pattern(sub)[:-1] for _, _, sub, q in table), (h.rows, k)
+            assert minors._subproblems(h, p, k) is table
+            tables += 1
+    assert tables == 355
+
+
+# validate_witness as it was before the one-AND edge check, verbatim but
+# for its name: the reference for the differential test below.
+
+
+def _reference_validate_witness(g: Graph, h: Graph, witness: MinorWitness) -> bool:
+    """Independent re-check of a containment witness: branch sets
+    nonempty, disjoint, connected in g, and covering every edge of h."""
+    if witness.verdict != VERDICT_CONTAINS or witness.branch_sets is None:
+        return False
+    if len(witness.branch_sets) != h.n:
+        return False
+    masks = []
+    used = 0
+    for bs in witness.branch_sets:
+        if not bs:
+            return False
+        mask = 0
+        for v in bs:
+            if not 0 <= v < g.n or used >> v & 1:
+                return False
+            mask |= 1 << v
+            used |= 1 << v
+        if mask & (mask - 1) and len(g.component_masks(mask)) != 1:
+            return False
+        masks.append(mask)
+    for u, v in h.edges():
+        if not any(g.rows[x] & masks[v] for x in _bits(masks[u])):
+            return False
+    return True
+
+
+def _corruptions(g, h, w, j):
+    """Fixed corruptions of the found witness w at its branch set j: a
+    vertex dropped, moved to the next set, duplicated in its set or into
+    the next, set to -1 or to g.n; the set emptied; a vertex far from the
+    set added to it, which splits it in two; the first swap of two sets
+    that leaves an edge of h without a cross edge; verdict free with the
+    sets attached; no sets; one set too few."""
+    sets = list(w.branch_sets)
+    bs = sets[j]
+
+    def at(i, new, base=sets):
+        out = list(base)
+        out[i] = new
+        return tuple(out)
+
+    out = [at(j, bs[:-1]), at(j, bs + bs[:1]), at(j, (-1,) + bs[1:]), at(j, bs[:-1] + (g.n,)),
+           at(j, ()), tuple(sets[:-1])]
+    if h.n > 1:
+        k = (j + 1) % h.n
+        out += [at(k, sets[k] + bs[-1:], at(j, bs[:-1])), at(k, sets[k] + bs[:1])]
+    near = 0
+    for v in bs:
+        near |= g.rows[v] | 1 << v
+    used = {v for s in sets for v in s}
+    far = [u for u in range(g.n) if u not in used and not near >> u & 1]
+    if far:
+        out.append(at(j, bs + (far[0],)))
+    for a, b in combinations(range(h.n), 2):
+        swapped = at(b, sets[a], at(a, sets[b]))
+        if not _reference_validate_witness(g, h, MinorWitness(VERDICT_CONTAINS, swapped, 0)):
+            out.append(swapped)
+            break
+    return ([MinorWitness(VERDICT_CONTAINS, s, w.expansions) for s in out]
+            + [w._replace(verdict=VERDICT_FREE), w._replace(branch_sets=None)])
+
+
+def test_validate_witness_matches_reference():
+    # every witness has_minor finds on the graphs of order <= 7 against
+    # the patterns of the table test, each with its fixed corruptions:
+    # the same answer as the reference on every input
+    witnesses = checked = rejected = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            for h in _table_patterns():
+                w = has_minor(g, h)
+                if w.verdict != VERDICT_CONTAINS:
+                    continue
+                assert validate_witness(g, h, w) and _reference_validate_witness(g, h, w)
+                for bad in _corruptions(g, h, w, witnesses % h.n):
+                    answer = validate_witness(g, h, bad)
+                    assert answer == _reference_validate_witness(g, h, bad), (g.to_graph6(), h.rows, bad)
+                    rejected += not answer
+                    checked += 1
+                witnesses += 1
+    assert (witnesses, checked, rejected) == (37_118, 402_572, 402_446)
